@@ -20,8 +20,11 @@ so the only wasted bytes TAPS can produce come from preempted victims.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from time import perf_counter
 
 from repro.core.allocation import (
@@ -47,6 +50,8 @@ from repro.trace.events import (
 )
 from repro.trace.recorder import TraceRecorder
 from repro.util.intervals import EPS, IntervalSet
+
+_PENDING = FlowStatus.PENDING
 
 #: how far into the future a down link is considered unusable; the
 #: controller does not know outage durations, so "forever" — recovery
@@ -214,6 +219,10 @@ class TapsScheduler(Scheduler):
         self.stats = TapsStats()
         self.ledger = self._new_ledger()
         self.plans: dict[int, FlowPlan] = {}
+        # boundary calendar of the sender model; None = reseed on next use
+        self._rate_heap: list[tuple[float, int, FlowPlan]] | None = None
+        self._change_heap: list[tuple[float, int, FlowPlan]] | None = None
+        self._calendar_down: frozenset[int] = frozenset()
         self._capacity: float = 0.0
         self._task_states: dict[int, TaskState] = {}
         self._pending: list[TaskState] = []
@@ -229,7 +238,7 @@ class TapsScheduler(Scheduler):
         super().attach(topology, paths)
         self.stats = TapsStats()
         self.ledger = self._new_ledger()
-        self.plans = {}
+        self._replace_plans({})
         self._task_states = {}
         self._pending = []
         self._flush_at = None
@@ -501,7 +510,7 @@ class TapsScheduler(Scheduler):
                 killed_flows=tuple(killed),
             ))
 
-        self.plans = dict(trial_plans)
+        self._replace_plans(dict(trial_plans))
         self.ledger = trial_ledger
         for plan in trial_plans.values():
             plan.flow_state.path = plan.path
@@ -602,7 +611,7 @@ class TapsScheduler(Scheduler):
             trial_ledger.commit_trial()
         else:
             self.ledger = trial_ledger
-        self.plans.update(trial_plans)
+        self._replace_plans({**self.plans, **trial_plans})
         for plan in trial_plans.values():
             plan.flow_state.path = plan.path
         task_state.accepted = True
@@ -662,31 +671,95 @@ class TapsScheduler(Scheduler):
         return True
 
     # -- sender model (paper §IV-D) -------------------------------------------
+    #
+    # Every rate change is fixed when a plan table is committed, so the
+    # sender model keeps a *boundary calendar*: two heaps of
+    # ``(boundary, flow_id, plan)``, one entry per live plan, keyed by the
+    # plan's first slice boundary past a probe time.  The rate heap probes
+    # at ``now + 2·EPS`` (the side of a slice edge a rate is read on), the
+    # change heap at ``now + EPS`` (what ``next_change`` reports).  A plan
+    # whose rate-heap boundary was not crossed keeps its rate, because a
+    # rate is the parity of the boundaries at or before the probe.  After
+    # the plan table is replaced (commit, incremental commit, fault
+    # reallocation) the next call reseeds its heap with every pending plan
+    # due at once; entries of plans removed since (completion, drop,
+    # preemption) or no longer pending leave lazily.  Time never goes
+    # backwards, so each plan's boundary cursor only advances.
+
+    def _replace_plans(self, plans: dict[int, FlowPlan]) -> None:
+        self.plans = plans
+        self._rate_heap = None
+        self._change_heap = None
+
+    def _calendar(self) -> list[tuple[float, int, FlowPlan]]:
+        """A calendar heap with every pending plan due now."""
+        heap = [
+            (-math.inf, fid, plan)
+            for fid, plan in self.plans.items()
+            if plan.flow_state.status is _PENDING
+        ]
+        heapify(heap)
+        return heap
 
     def assign_rates(self, now: float) -> None:
+        """Rewrite the rate of every flow whose plan crossed a slice
+        boundary since the last call (every flow after a new plan table):
+        full capacity inside a slice, 0 outside."""
         if self._flush_at is not None and now >= self._flush_at - EPS:
             self._flush_pending(now)
         # probe just inside 'now' so a boundary landing within float dust
         # of a slice edge resolves to the correct side
         probe = now + 2 * EPS
+        heap = self._rate_heap
+        if heap is None:
+            heap = self._rate_heap = self._calendar()
+            self._calendar_down = self._down_links
+        # The engine zeroes rates across down links after this call, and a
+        # flow not rewritten here keeps that zero.  That is exact only
+        # because every link-state change replaces the plan table, so the
+        # call after it rewrites every rate.
+        assert self._calendar_down is self._down_links
         capacity = self._capacity
-        for plan in self.plans.values():
+        plans = self.plans
+        while heap and heap[0][0] <= probe:
+            _, fid, plan = heap[0]
             fs = plan.flow_state
-            if fs.status is not FlowStatus.PENDING:
+            if plans.get(fid) is not plan or fs.status is not _PENDING:
+                heappop(heap)
                 continue
-            fs.rate = capacity if plan.slices.contains(probe) else 0.0
+            b = plan.slices._b
+            k = bisect_right(b, probe)
+            fs.rate = capacity if k & 1 else 0.0
+            if k < len(b):
+                heapreplace(heap, (b[k], fid, plan))
+            else:
+                heappop(heap)
 
     def next_change(self, now: float) -> float | None:
         """Earliest upcoming slice boundary or batch-flush time."""
         best: float | None = None
         if self._flush_at is not None and self._flush_at > now + EPS:
             best = self._flush_at
-        for plan in self.plans.values():
-            if plan.flow_state.status is not FlowStatus.PENDING:
-                continue
-            b = plan.slices.next_boundary(now)
-            if b is not None and (best is None or b < best):
-                best = b
+        t = now + EPS
+        heap = self._change_heap
+        if heap is None:
+            heap = self._change_heap = self._calendar()
+        plans = self.plans
+        while heap:
+            b0, fid, plan = heap[0]
+            if plans.get(fid) is not plan or plan.flow_state.status is not _PENDING:
+                heappop(heap)
+            elif b0 <= t:
+                b = plan.slices._b
+                k = bisect_right(b, t)
+                if k < len(b):
+                    heapreplace(heap, (b[k], fid, plan))
+                else:
+                    heappop(heap)
+            else:
+                if best is None or b0 < best:
+                    best = b0
+                break
         return best
 
     # -- faults -------------------------------------------------------------
@@ -735,7 +808,7 @@ class TapsScheduler(Scheduler):
             if not missing_tasks:
                 if trial_base is not None:
                     ledger.commit_trial()
-                self.plans = plans
+                self._replace_plans(plans)
                 self.ledger = ledger
                 for p in plans.values():
                     p.flow_state.path = p.path
@@ -760,12 +833,11 @@ class TapsScheduler(Scheduler):
     def _drop_task_on_fault(
         self, task_id: int, now: float = 0.0, cause: str = "fault"
     ) -> bool:
-        """Kill the task's flows and count the drop.
+        """Kill the task's flows and record the drop with its ``cause``.
 
+        Only a ``"fault"`` drop counts in ``tasks_dropped_on_fault``.
         Returns whether anything was dropped — ``False`` when the task was
-        never registered (e.g. still pending in a batch window), in which
-        case the counter is *not* incremented and callers must not adjust
-        it either.
+        never registered (e.g. still pending in a batch window).
         """
         ts = self._task_states.get(task_id)
         if ts is None:  # still pending in a batch window
@@ -775,7 +847,8 @@ class TapsScheduler(Scheduler):
                 fs.kill(FlowStatus.TERMINATED)
             self.plans.pop(fs.flow.flow_id, None)
             self._accepted_flows.pop(fs.flow.flow_id, None)
-        self.stats.tasks_dropped_on_fault += 1
+        if cause == "fault":
+            self.stats.tasks_dropped_on_fault += 1
         self._emit(TaskDrop(now, task_id=task_id, cause=cause))
         return True
 
@@ -792,12 +865,7 @@ class TapsScheduler(Scheduler):
         # numerical corner case).  Task-level no-waste: stop the whole
         # task, not just this flow.
         self.stats.backstop_kills += 1
-        if self._drop_task_on_fault(fs.flow.task_id, now, cause="backstop"):
-            # reclassify: this drop is a backstop kill, not a fault drop.
-            # When the task was never registered (still pending in a batch
-            # window) nothing was counted, so nothing may be decremented —
-            # the unconditional decrement used to drive the counter negative.
-            self.stats.tasks_dropped_on_fault -= 1
+        self._drop_task_on_fault(fs.flow.task_id, now, cause="backstop")
         if fs.active:
             fs.kill(FlowStatus.TERMINATED)
         self._drop(fs)

@@ -4,13 +4,24 @@ A scheduler owns four decisions, invoked by the engine:
 
 1. **Admission** (:meth:`Scheduler.on_task_arrival`): accept, reject, or
    preempt; route flows (set ``FlowState.path``).
-2. **Rates** (:meth:`Scheduler.assign_rates`): write ``FlowState.rate`` for
-   every flow it manages; called only when the allocation is dirty.
+2. **Rates** (:meth:`Scheduler.assign_rates`): called only when the
+   allocation is dirty (arrival, completion, kill, link-state change,
+   change point).  On return every managed flow's ``rate`` must be correct
+   for ``[now, next_change)``.  The engine keeps ``rate`` between calls,
+   so a scheduler may skip flows whose rate is unchanged (the TAPS sender
+   model rewrites only flows whose slice boundary was crossed).  Nothing
+   outside the scheduler writes ``rate`` except the engine, which zeroes
+   it on flows crossing a down link right after this call — a scheduler
+   that skips unchanged flows must rewrite them after a link-state
+   change.  Stopping a flow (``kill``) zeroes its rate too.
 3. **Change points** (:meth:`Scheduler.next_change`): the next time rates
    would change with no external event (e.g. a TAPS slice boundary, a
    Varys reservation expiry that frees capacity).
 4. **Deadline reaction** (:meth:`Scheduler.on_deadline_expired`): quit the
    flow, kill it, or let it keep transmitting (Baraat).
+
+Flows may be stopped only from admission, rates, deadline reaction and
+link-state callbacks; ``on_flow_completed`` must not stop other flows.
 
 Helper mixins here implement the common "exclusive full-rate links by
 priority" allocation used by PDQ, Baraat, and the motivation examples.
@@ -50,7 +61,9 @@ class Scheduler(ABC):
 
     @abstractmethod
     def assign_rates(self, now: float) -> None:
-        """Write ``rate`` on every managed flow state."""
+        """Leave every managed flow's ``rate`` correct for
+        ``[now, next_change)``; flows whose rate is unchanged may be
+        skipped (see the module docstring)."""
 
     def next_change(self, now: float) -> float | None:
         """Next spontaneous rate-change time, or ``None``."""

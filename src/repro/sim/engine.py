@@ -13,15 +13,20 @@ to deadline misses all live in the attached
 :class:`~repro.sched.base.Scheduler`.
 
 Performance: rates are recomputed only when the allocation is *dirty*
-(arrival / completion / kill / scheduler change point), so long quiet
-stretches cost one ``min`` scan each, per the HPC guide's "recompute only
-what changed".
+(arrival / completion / kill / scheduler change point).  Between
+recomputes only the *transmitting* flows (rate > 0) can progress or
+finish, so integration, the completion minimum and the completion test
+walk that list alone; deadlines sit in a lazily pruned heap, and only the
+tasks a status change touched are checked for settlement.  Per event the
+in-flight list itself is filtered once, at the rate recompute.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from heapq import heappop, heappush
+from operator import itemgetter
 
 from repro.net.paths import PathService
 from repro.net.topology import Topology
@@ -54,6 +59,11 @@ def _done(remaining: float, size: float) -> bool:
     return remaining <= max(BYTES_ABS_EPS, BYTES_REL_EPS * size)
 
 
+# hot loops compare against a module constant: attribute lookup on the
+# enum class costs more than the identity test itself
+_PENDING = FlowStatus.PENDING
+
+
 @dataclass(slots=True)
 class EngineCounters:
     """Work counters for benchmarking the simulation itself."""
@@ -65,9 +75,8 @@ class EngineCounters:
     rate_recomputes: int = 0
     stalled_kills: int = 0
     deadline_scan_skips: int = 0
-    """Events where the per-flow deadline-expiry scan was skipped because
-    ``now`` had not reached the min-deadline watermark — proof the
-    watermark short-circuit is actually firing."""
+    """Events where no in-flight flow's deadline was due, so the expiry
+    step only peeked at the deadline heap."""
 
 
 @dataclass(slots=True)
@@ -107,7 +116,9 @@ class Engine:
     hooks:
         Objects with optional ``on_advance(t0, t1, flows)``,
         ``on_flow_settled(fs, now)``, ``on_task_settled(ts, now)``
-        callbacks (see :mod:`repro.metrics.timeseries`).
+        callbacks (see :mod:`repro.metrics.timeseries`).  ``flows`` holds
+        every flow transmitting over ``[t0, t1)`` (rate > 0), in arrival
+        order; it may also hold flows whose rate is 0.
     max_events:
         Safety valve against runaway loops; ``SimulationError`` when hit.
     horizon:
@@ -197,7 +208,30 @@ class Engine:
                 self.hooks = (*self.hooks, self._tel_linkload)
         # flow_id -> (path, task_id) of flows physically transmitting now;
         # diffed against the post-recompute picture to emit slice events
-        self._transmitting: dict[int, tuple[tuple[int, ...], int]] = {}
+        self._open_slices: dict[int, tuple[tuple[int, ...], int]] = {}
+
+        # -- loop state, advanced by the event phases of run() --
+        self._now = 0.0
+        self._next_arrival = 0
+        self._dirty = True
+        self._arrived = False
+        self._down_links: set[int] = set()
+        self._t_sched: float | None = None
+        # pending flows in flight, in arrival order (the order completions
+        # and deadline notifications fire in)
+        self._active: list[FlowState] = []
+        # the in-flight flows with a positive rate since the last rate
+        # recompute: the only ones that can progress or finish
+        self._transmitting: list[FlowState] = []
+        # flows the scheduler stopped during this event, after the
+        # in-flight list was last filtered; they leave at the settle step
+        self._killed: list[FlowState] = []
+        # (deadline, arrival sequence, flow) of every in-flight flow whose
+        # deadline has not passed; stopped flows are pruned lazily
+        self._deadlines: list[tuple[float, int, FlowState]] = []
+        self._seq = 0
+        # task ids whose flows changed status during this event
+        self._touched: set[int] = set()
 
     # -- main loop -----------------------------------------------------------
 
@@ -207,6 +241,11 @@ class Engine:
         Single-shot: flow/task states are consumed by the run, so a second
         ``run()`` on the same engine raises — build a fresh Engine (state
         construction is cheap; workloads are immutable and reusable).
+
+        Each event runs the phase methods in step order: arrivals (1),
+        deadline expiries (2), link-state changes (2b), rate recompute
+        (3), next event time (4), integration (5), completions and task
+        settlement (6).
         """
         if getattr(self, "_ran", False):
             raise SimulationError(
@@ -226,220 +265,49 @@ class Engine:
             sched.telemetry = tel
         sched.attach(self.topology, self.path_service)
         run_span = None
+        self._active_gauge = None
         if tel is not None:
             tel.set_meta(
                 topology=self.topology.name,
                 num_tasks=len(self.task_states),
             )
-            active_gauge = tel.gauge("engine/active_flows")
+            self._active_gauge = tel.gauge("engine/active_flows")
             run_span = tel.spans.span("run")
             run_span.__enter__()
+        self._on_advance = _callbacks(self.hooks, "on_advance")
+        self._on_flow_settled = _callbacks(self.hooks, "on_flow_settled")
+        self._on_task_settled = _callbacks(self.hooks, "on_task_settled")
 
-        now = 0.0
-        next_arrival_idx = 0
-        active: list[FlowState] = []
-        unsettled_tasks: set[int] = set()
-        dirty = True
-        down_links: set[int] = set()
-        # Lower bound on the earliest deadline of any active, not-yet-
-        # notified flow.  Kills may leave it stale-low (costing one wasted
-        # scan, never a missed expiry); each scan re-tightens it.
-        next_deadline = math.inf
-
+        counters = self.counters
+        horizon = self.horizon
         while True:
-            self.counters.events += 1
-            if self.counters.events > self.max_events:
+            counters.events += 1
+            if counters.events > self.max_events:
                 raise SimulationError(
-                    f"exceeded max_events={self.max_events} at t={now:g}"
+                    f"exceeded max_events={self.max_events} at t={self._now:g}"
                 )
-
-            # hard horizon: terminate everything still running
-            if self.horizon is not None and now >= self.horizon - EPS:
-                for fs in active:
-                    fs.kill(FlowStatus.TERMINATED)
-                active.clear()
-                self._settle_tasks(unsettled_tasks, now)
+            if horizon is not None and self._now >= horizon - EPS:
+                self._terminate(stalled=False)
                 break
-
-            # 1. deliver arrivals due now
-            while (
-                next_arrival_idx < len(self._arrivals)
-                and self._arrivals[next_arrival_idx].task.arrival <= now + EPS
-            ):
-                ts = self._arrivals[next_arrival_idx]
-                next_arrival_idx += 1
-                self.counters.arrivals += 1
-                if trace is not None:
-                    trace.emit(TaskArrival(
-                        now,
-                        task_id=ts.task.task_id,
-                        deadline=ts.task.deadline,
-                        num_flows=len(ts.task.flows),
-                        total_bytes=ts.task.total_size,
-                    ))
-                if tel is None:
-                    sched.on_task_arrival(ts, now)
-                else:
-                    with tel.spans.span("arrival"):
-                        sched.on_task_arrival(ts, now)
-                unsettled_tasks.add(ts.task.task_id)
-                for fs in ts.flow_states:
-                    if fs.active:
-                        active.append(fs)
-                        if fs.flow.deadline < next_deadline:
-                            next_deadline = fs.flow.deadline
-                dirty = True
-
-            # 2. deadline expiries due now (notify each flow once)
-            # (hot loops test FlowStatus directly — `fs.active` is a
-            # property call, measurable at millions of events × flows)
-            # The whole scan is skipped while `now` is before the earliest
-            # unexpired deadline; most events in a healthy run never pay it.
-            if now + EPS >= next_deadline:
-                nd = math.inf
-                for fs in active:
-                    if fs.status is not FlowStatus.PENDING or fs.deadline_notified:
-                        continue
-                    if fs.flow.deadline <= now + EPS:
-                        if not _done(fs.remaining, fs.flow.size):
-                            fs.deadline_notified = True
-                            self.counters.deadline_events += 1
-                            if trace is not None:
-                                trace.emit(DeadlineExpired(
-                                    now, flow_id=fs.flow.flow_id,
-                                    task_id=fs.flow.task_id,
-                                ))
-                            sched.on_deadline_expired(fs, now)
-                            if fs.status is not FlowStatus.PENDING:
-                                dirty = True
-                        # else: already (numerically) complete — it settles
-                        # as a completion this same event, never an expiry
-                    elif fs.flow.deadline < nd:
-                        nd = fs.flow.deadline
-                next_deadline = nd
-            else:
-                self.counters.deadline_scan_skips += 1
-
-            active = [fs for fs in active if fs.status is FlowStatus.PENDING]
-
-            # 2b. fault transitions: notify the scheduler, then physically
-            # stop transmission across down links below
+            self._deliver_arrivals()
+            self._expire_deadlines()
             if self.faults:
-                current_down = self.faults.down_links(now)
-                if current_down != down_links:
-                    down_links = current_down
-                    if trace is not None:
-                        trace.emit(LinkStateChange(
-                            now, down_links=tuple(sorted(down_links))
-                        ))
-                    on_change = getattr(sched, "on_link_state_change", None)
-                    if on_change is not None:
-                        on_change(frozenset(down_links), now)
-                    dirty = True
-
-            # 3. (re)compute rates
-            if dirty:
-                self.counters.rate_recomputes += 1
-                if tel is None:
-                    sched.assign_rates(now)
-                else:
-                    with tel.spans.span("rates"):
-                        sched.assign_rates(now)
-                # physics: a down link carries nothing, whatever was asked
-                if down_links:
-                    for fs in active:
-                        if fs.rate > 0 and fs.path is not None and any(
-                            l in down_links for l in fs.path
-                        ):
-                            fs.rate = 0.0
-                dirty = False
-                if trace is not None:
-                    self._sync_slices(active, now)
-            if tel is not None:
-                active_gauge.set(len(active))
-
-            # 4. choose the next event time
-            t_next = math.inf
-            if self.faults:
-                fb = self.faults.next_boundary(now)
-                if fb is not None:
-                    t_next = fb
-            if next_arrival_idx < len(self._arrivals):
-                t_next = min(t_next, self._arrivals[next_arrival_idx].task.arrival)
-            for fs in active:
-                if fs.rate > 0:
-                    t_next = min(t_next, now + fs.remaining / fs.rate)
-                if fs.flow.deadline > now + EPS:
-                    t_next = min(t_next, fs.flow.deadline)
-            t_sched = sched.next_change(now)
-            if t_sched is not None and t_sched > now + EPS:
-                t_next = min(t_next, t_sched)
-            if self.horizon is not None:
-                t_next = min(t_next, self.horizon)
-
+                self._apply_link_state()
+            if self._dirty:
+                self._recompute_rates()
+            if self._active_gauge is not None:
+                self._active_gauge.set(len(self._active) + len(self._killed))
+            t_next = self._next_event_time()
             if not math.isfinite(t_next):
                 # Nothing will ever happen again.  Any still-active flow is
                 # stalled (rate 0 forever): kill it so the run terminates.
-                for fs in active:
-                    fs.kill(FlowStatus.TERMINATED)
-                    self.counters.stalled_kills += 1
-                active.clear()
-                self._settle_tasks(unsettled_tasks, now)
+                self._terminate(stalled=True)
                 break
-
             # guard against zero-length steps looping forever
-            t_next = max(t_next, now)
+            self._advance_to(max(t_next, self._now))
+            self._settle()
 
-            # 5. integrate progress over [now, t_next)
-            dt = t_next - now
-            if dt > 0:
-                for fs in active:
-                    fs.advance(dt)
-                for hook in self.hooks:
-                    on_advance = getattr(hook, "on_advance", None)
-                    if on_advance is not None:
-                        on_advance(now, t_next, active)
-            prev_now = now
-            now = t_next
-            if now <= prev_now and dt == 0 and not dirty:
-                # A scheduler change point at 'now' that changed nothing;
-                # treat the allocation as dirty to force progress next turn.
-                dirty = True
-
-            # 6. settle completions
-            still_active: list[FlowState] = []
-            for fs in active:
-                if fs.status is not FlowStatus.PENDING:
-                    dirty = True  # killed by a callback during this step
-                elif _done(fs.remaining, fs.flow.size):
-                    fs.finish(now)
-                    self.counters.completions += 1
-                    if trace is not None:
-                        trace.emit(FlowCompleted(
-                            now,
-                            flow_id=fs.flow.flow_id,
-                            task_id=fs.flow.task_id,
-                            met_deadline=fs.met_deadline,
-                        ))
-                    sched.on_flow_completed(fs, now)
-                    for hook in self.hooks:
-                        cb = getattr(hook, "on_flow_settled", None)
-                        if cb is not None:
-                            cb(fs, now)
-                    dirty = True
-                else:
-                    still_active.append(fs)
-            active = still_active
-            if trace is not None:
-                # completed/killed flows stop transmitting at this instant
-                self._sync_slices(active, now)
-
-            # mark a scheduler change point as needing a rate refresh
-            if t_sched is not None and abs(now - t_sched) <= EPS:
-                dirty = True
-
-            self._settle_tasks(unsettled_tasks, now)
-
+        now = self._now
         if trace is not None:
             self._flush_slices(now)
             trace.emit(RunEnd(now))
@@ -447,15 +315,261 @@ class Engine:
             run_span.__exit__(None, None, None)
         if tel is not None:
             self._publish_telemetry(tel, now)
-        result = SimulationResult(
+        return SimulationResult(
             scheduler_name=getattr(sched, "name", type(sched).__name__),
             topology_name=self.topology.name,
             flow_states=self.flow_states,
             task_states=self.task_states,
             finished_at=now,
-            counters=self.counters,
+            counters=counters,
         )
-        return result
+
+    # -- event phases ----------------------------------------------------------
+
+    def _deliver_arrivals(self) -> None:
+        """Step 1: hand every task due now to the scheduler.  Flows still
+        pending after admission join the in-flight list (in arrival
+        order) and the deadline heap."""
+        self._arrived = False
+        arrivals = self._arrivals
+        i = self._next_arrival
+        now = self._now
+        while i < len(arrivals) and arrivals[i].task.arrival <= now + EPS:
+            ts = arrivals[i]
+            i += 1
+            self.counters.arrivals += 1
+            if self.trace is not None:
+                self.trace.emit(TaskArrival(
+                    now,
+                    task_id=ts.task.task_id,
+                    deadline=ts.task.deadline,
+                    num_flows=len(ts.task.flows),
+                    total_bytes=ts.task.total_size,
+                ))
+            if self.telemetry is None:
+                self.scheduler.on_task_arrival(ts, now)
+            else:
+                with self.telemetry.spans.span("arrival"):
+                    self.scheduler.on_task_arrival(ts, now)
+            self._touched.add(ts.task.task_id)
+            for fs in ts.flow_states:
+                if fs.status is _PENDING:
+                    self._active.append(fs)
+                    heappush(self._deadlines, (fs.flow.deadline, self._seq, fs))
+                    self._seq += 1
+            self._arrived = self._dirty = True
+        self._next_arrival = i
+
+    def _expire_deadlines(self) -> None:
+        """Step 2: notify the scheduler of every pending flow whose
+        deadline has passed unfinished, in arrival order, then drop flows
+        that arrivals or notifications stopped from the in-flight list.
+
+        The deadline heap holds one entry per in-flight flow; entries of
+        flows that have stopped are pruned lazily when they reach the top,
+        and an entry whose deadline is due leaves for good, so a flow is
+        notified at most once.  Most events only peek at the heap.
+        """
+        heap = self._deadlines
+        while heap and heap[0][2].status is not _PENDING:
+            heappop(heap)
+        limit = self._now + EPS
+        if not heap or heap[0][0] > limit:
+            self.counters.deadline_scan_skips += 1
+            if self._arrived:
+                self._filter_active()  # admission may have preempted victims
+            return
+        due = []
+        while heap and heap[0][0] <= limit:
+            due.append(heappop(heap))
+        due.sort(key=itemgetter(1))  # in-flight (arrival) order
+        sched = self.scheduler
+        trace = self.trace
+        now = self._now
+        for _, _, fs in due:
+            if fs.status is not _PENDING or _done(fs.remaining, fs.flow.size):
+                # stopped, or already (numerically) complete: a flow that
+                # arrived inside the tolerance settles as a completion
+                # this same event
+                continue
+            self.counters.deadline_events += 1
+            if trace is not None:
+                trace.emit(DeadlineExpired(
+                    now, flow_id=fs.flow.flow_id, task_id=fs.flow.task_id,
+                ))
+            sched.on_deadline_expired(fs, now)
+            if fs.status is not _PENDING:
+                self._dirty = True
+        self._filter_active()
+
+    def _filter_active(self) -> list[FlowState]:
+        """Drop stopped flows from the in-flight list and return them;
+        their tasks are settled at the end of the event."""
+        active = self._active
+        live = [fs for fs in active if fs.status is _PENDING]
+        if len(live) == len(active):
+            return []
+        stopped = [fs for fs in active if fs.status is not _PENDING]
+        for fs in stopped:
+            self._touched.add(fs.flow.task_id)
+        self._active = live
+        return stopped
+
+    def _apply_link_state(self) -> None:
+        """Step 2b: on a fault transition, notify the scheduler; transmission
+        across down links stops in :meth:`_recompute_rates`."""
+        now = self._now
+        current_down = self.faults.down_links(now)
+        if current_down == self._down_links:
+            return
+        self._down_links = current_down
+        if self.trace is not None:
+            self.trace.emit(LinkStateChange(
+                now, down_links=tuple(sorted(current_down))
+            ))
+        on_change = getattr(self.scheduler, "on_link_state_change", None)
+        if on_change is not None:
+            on_change(frozenset(current_down), now)
+        self._dirty = True
+
+    def _recompute_rates(self) -> None:
+        """Step 3: ask the scheduler for rates, stop transmission across
+        down links, and split the in-flight list into the flows that
+        transmit until the next event and the flows the scheduler stopped
+        during this event (kept aside until :meth:`_settle`)."""
+        self.counters.rate_recomputes += 1
+        now = self._now
+        tel = self.telemetry
+        if tel is None:
+            self.scheduler.assign_rates(now)
+        else:
+            with tel.spans.span("rates"):
+                self.scheduler.assign_rates(now)
+        self._killed = self._filter_active()
+        live = self._active
+        # physics: a down link carries nothing, whatever was asked.  Only
+        # this loop writes ``rate`` from outside the scheduler; a scheduler
+        # that leaves unchanged rates alone relies on every link-state
+        # change making it rewrite them.
+        down_links = self._down_links
+        if down_links:
+            for fs in live:
+                if fs.rate > 0 and fs.path is not None and any(
+                    l in down_links for l in fs.path
+                ):
+                    fs.rate = 0.0
+        self._transmitting = [fs for fs in live if fs.rate > 0]
+        self._dirty = False
+        if self.trace is not None:
+            self._sync_slices(self._transmitting, now)
+
+    def _next_event_time(self) -> float:
+        """Step 4: the earliest of the next fault boundary, arrival,
+        completion, deadline, scheduler change point and horizon."""
+        now = self._now
+        t_next = math.inf
+        if self.faults:
+            fb = self.faults.next_boundary(now)
+            if fb is not None:
+                t_next = fb
+        if self._next_arrival < len(self._arrivals):
+            t_next = min(t_next, self._arrivals[self._next_arrival].task.arrival)
+        for fs in self._transmitting:
+            rate = fs.rate
+            if rate > 0:
+                t = now + fs.remaining / rate
+                if t < t_next:
+                    t_next = t
+        # every heap entry left after step 2 lies past now + EPS
+        heap = self._deadlines
+        while heap and heap[0][2].status is not _PENDING:
+            heappop(heap)
+        if heap and heap[0][0] < t_next:
+            t_next = heap[0][0]
+        # flows stopped during this event still offer their deadline
+        for fs in self._killed:
+            d = fs.flow.deadline
+            if now + EPS < d < t_next:
+                t_next = d
+        t_sched = self.scheduler.next_change(now)
+        if t_sched is not None and t_sched > now + EPS:
+            t_next = min(t_next, t_sched)
+        self._t_sched = t_sched
+        if self.horizon is not None:
+            t_next = min(t_next, self.horizon)
+        return t_next
+
+    def _advance_to(self, t_next: float) -> None:
+        """Step 5: integrate the transmitting flows over ``[now, t_next)``."""
+        now = self._now
+        dt = t_next - now
+        if dt > 0:
+            flows = self._transmitting
+            for fs in flows:
+                fs.advance(dt)
+            for on_advance in self._on_advance:
+                on_advance(now, t_next, flows)
+        self._now = t_next
+        if t_next <= now and dt == 0 and not self._dirty:
+            # A scheduler change point at 'now' that changed nothing;
+            # treat the allocation as dirty to force progress next turn.
+            self._dirty = True
+
+    def _settle(self) -> None:
+        """Step 6: complete flows that delivered their last byte, in
+        in-flight order, then settle every task a status change touched.
+
+        Only flows that transmitted can have finished, except arrivals:
+        a flow can arrive already inside the completion tolerance, so an
+        event with arrivals checks every in-flight flow.
+        """
+        now = self._now
+        candidates = self._active if self._arrived else self._transmitting
+        finished = [
+            fs for fs in candidates
+            if fs.status is _PENDING and _done(fs.remaining, fs.flow.size)
+        ]
+        if finished or self._killed:
+            self._dirty = True
+        sched = self.scheduler
+        trace = self.trace
+        active = self._active
+        for fs in finished:
+            fs.finish(now)
+            self.counters.completions += 1
+            if trace is not None:
+                trace.emit(FlowCompleted(
+                    now,
+                    flow_id=fs.flow.flow_id,
+                    task_id=fs.flow.task_id,
+                    met_deadline=fs.met_deadline,
+                ))
+            sched.on_flow_completed(fs, now)
+            for cb in self._on_flow_settled:
+                cb(fs, now)
+            active.remove(fs)
+            self._touched.add(fs.flow.task_id)
+        self._killed = []
+        if trace is not None:
+            # completed/killed flows stop transmitting at this instant
+            self._sync_slices(self._transmitting, now)
+        # mark a scheduler change point as needing a rate refresh
+        t_sched = self._t_sched
+        if t_sched is not None and abs(now - t_sched) <= EPS:
+            self._dirty = True
+        self._settle_tasks(now)
+
+    def _terminate(self, stalled: bool) -> None:
+        """End of run (horizon reached, or nothing can ever happen again):
+        stop every flow still in flight and settle the tasks."""
+        for fs in (*self._active, *self._killed):
+            fs.kill(FlowStatus.TERMINATED)
+            self._touched.add(fs.flow.task_id)
+            if stalled:
+                self.counters.stalled_kills += 1
+        self._active = []
+        self._killed = []
+        self._settle_tasks(self._now)
 
     # -- helpers -----------------------------------------------------------
 
@@ -484,19 +598,20 @@ class Engine:
         for l, frac in sorted(collector.peak_utilization().items()):
             tel.gauge("net/link_peak_utilization", labels(l)).set(frac)
 
-    def _sync_slices(self, active: list[FlowState], now: float) -> None:
+    def _sync_slices(self, flows: list[FlowState], now: float) -> None:
         """Diff the physically-transmitting set against the last picture and
         emit slice events (ends before starts; a path change is both).
 
         Called after every rate recompute (post down-link zeroing — the
         trace records what the network actually carried) and after
         completions, so a flow's slice closes at the instant it stopped.
+        ``flows`` must include every flow with a positive rate.
         """
         current: dict[int, tuple[tuple[int, ...], int]] = {}
-        for fs in active:
+        for fs in flows:
             if fs.rate > 0 and fs.path is not None:
                 current[fs.flow.flow_id] = (tuple(fs.path), fs.flow.task_id)
-        prev = self._transmitting
+        prev = self._open_slices
         if current == prev:
             return
         trace = self.trace
@@ -507,26 +622,30 @@ class Engine:
         for fid in sorted(started):
             path, tid = current[fid]
             trace.emit(SliceStart(now, flow_id=fid, task_id=tid, path=path))
-        self._transmitting = current
+        self._open_slices = current
 
     def _flush_slices(self, now: float) -> None:
         """Close every still-open slice at the end of the run."""
-        prev = self._transmitting
+        prev = self._open_slices
         for fid in sorted(prev):
             self.trace.emit(SliceEnd(now, flow_id=fid, task_id=prev[fid][1]))
-        self._transmitting = {}
+        self._open_slices = {}
 
-    def _settle_tasks(self, unsettled: set[int], now: float) -> None:
-        """Finalize tasks whose flows have all reached a terminal status."""
-        done: list[int] = []
-        for tid in unsettled:
+    def _settle_tasks(self, now: float) -> None:
+        """Finalize, in task-id order, the touched tasks whose flows have
+        all reached a terminal status."""
+        touched = self._touched
+        if not touched:
+            return
+        for tid in sorted(touched):
             ts = self._task_by_id[tid]
-            if all(not fs.active for fs in ts.flow_states):
+            if all(fs.status is not _PENDING for fs in ts.flow_states):
                 ts.settle()
-                done.append(tid)
-                for hook in self.hooks:
-                    cb = getattr(hook, "on_task_settled", None)
-                    if cb is not None:
-                        cb(ts, now)
-        for tid in done:
-            unsettled.discard(tid)
+                for cb in self._on_task_settled:
+                    cb(ts, now)
+        touched.clear()
+
+
+def _callbacks(hooks: tuple, name: str) -> list:
+    """The hooks' bound ``name`` callbacks (hooks may omit any of them)."""
+    return [cb for hook in hooks if (cb := getattr(hook, name, None)) is not None]

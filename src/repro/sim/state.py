@@ -67,8 +67,6 @@ class FlowState:
     status: FlowStatus = FlowStatus.PENDING
     completed_at: float | None = None
     bytes_sent: float = 0.0
-    deadline_notified: bool = False
-    """Engine-internal: the scheduler was told this flow's deadline passed."""
 
     def __post_init__(self) -> None:
         if self.remaining < 0:

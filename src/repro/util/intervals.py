@@ -284,8 +284,8 @@ class IntervalSet:
         remaining = duration
         out: list[float] = []
         for s, e in self:
-            if e <= after + EPS:
-                continue
+            # the subtraction-form gap test of complement() and the fused
+            # scans, so a gap about EPS wide is idle time in all of them
             s = max(s, after)
             width = e - s
             if width <= EPS:
@@ -314,13 +314,10 @@ class IntervalSet:
         remaining = duration
         b = self._b
         for i in range(0, len(b), 2):
-            s, e = b[i], b[i + 1]
-            if e <= after + EPS:
-                continue
-            s = max(s, after)
-            width = e - s
+            s = max(b[i], after)
+            width = b[i + 1] - s
             if width <= EPS:
-                continue
+                continue  # first_fit's gap test
             if width >= remaining - EPS:
                 return s + min(width, remaining)
             remaining -= width

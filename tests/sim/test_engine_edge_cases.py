@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.controller import TapsScheduler
 from repro.sched.fair import FairSharing
+from repro.sched.pdq import PDQ
 from repro.sim.engine import Engine
 from repro.sim.faults import LinkFault
 from repro.sim.state import FlowStatus
@@ -127,3 +128,31 @@ def test_zero_rate_task_eventually_killed_by_deadline():
     fs = result.flow_states[0]
     assert fs.status is FlowStatus.TERMINATED
     assert result.finished_at <= 2.0 + 1e-6
+
+
+def test_flow_inside_tolerance_settles_without_transmitting():
+    """A flow that arrives already inside the completion tolerance settles
+    at the end of its arrival event even while its rate is 0 (PDQ serves
+    the earlier deadline first on the shared link)."""
+    topo = dumbbell(1)
+    tasks = [make_task(0, 0.0, 1.0, [("L0", "R0", 1.0)], 0),
+             make_task(1, 0.0, 2.0, [("L0", "R0", 5e-10)], 1)]
+    result = Engine(topo, tasks, PDQ()).run()
+    tiny = result.flow_states[1]
+    assert tiny.bytes_sent == 0.0
+    assert tiny.status is FlowStatus.COMPLETED
+    assert tiny.completed_at == 1.0
+    assert result.tasks_completed == 2
+
+
+def test_flow_stopped_inside_an_event_still_offers_its_deadline():
+    """Flows the scheduler stops after the in-flight list was filtered
+    (here: rejected when the batch window flushes, inside the rate
+    recompute) keep offering their deadline to that event's next-event
+    search, so the run takes one idle event at the deadline."""
+    topo = dumbbell(1)
+    tasks = [make_task(0, 0.0, 1.5, [("L0", "R0", 10.0)], 0)]
+    result = Engine(topo, tasks, TapsScheduler(batch_window=1.0)).run()
+    assert result.flow_states[0].status is FlowStatus.REJECTED
+    assert result.finished_at == 1.5
+    assert result.counters.rate_recomputes == 3

@@ -1,0 +1,139 @@
+"""Golden pins: decision traces and per-flow outcomes, byte for byte.
+
+The engine and the TAPS sender model are exact rewrites of a full-scan
+loop (see DESIGN.md §5.3): every event, rate and completion instant must
+come out bit-identical, because one extra or missing event splits an
+integration step and moves completion times in the last ulp.  These
+digests were computed with the full-scan engine on the same inputs; a
+change that moves any of them changes simulated behaviour and must say so.
+
+Inputs are small on purpose (a k=4 fat-tree, two dozen tasks over eight
+hosts, so flows contend), but reach the engine's rare paths: rejections,
+preemption, batch flushes, fault reroutes and a fault drop, down-link
+zeroing, backstop kills and deadline expiries.
+"""
+
+import hashlib
+import sys
+
+import pytest
+
+from repro.core.controller import TapsScheduler
+from repro.core.reject import PreemptionPolicy
+from repro.net.fattree import FatTree
+from repro.sched.registry import make_scheduler
+from repro.sim.engine import Engine
+from repro.sim.faults import LinkFault
+from repro.trace import TraceRecorder
+from repro.workload.generator import WorkloadConfig, generate_workload
+
+# Python 3.12 made sum() of floats compensated; task sizes and completion
+# ratios (both in the trace) are sums, so their last bits move with it.
+pytestmark = pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="digests were computed with the uncompensated float sum() of 3.11",
+)
+
+TOPO = FatTree(k=4)
+HOSTS = list(TOPO.hosts)[:8]
+_SWITCHES = set(TOPO.switches)
+CORE = [
+    l.index for l in TOPO.links if l.src in _SWITCHES and l.dst in _SWITCHES
+]
+# core-link outages, plus a host cut off for good and another briefly
+FAULTS = [
+    LinkFault(CORE[3], 0.004, 0.015),
+    LinkFault(CORE[10], 0.006, 0.030),
+    LinkFault(CORE[17], 0.010, float("inf")),
+    LinkFault(CORE[25], 0.012, 0.020),
+    *(LinkFault(l.index, 0.012, float("inf"))
+      for l in TOPO.links if l.dst == HOSTS[1]),
+    *(LinkFault(l.index, 0.005, 0.009)
+      for l in TOPO.links if l.src == HOSTS[2]),
+]
+
+
+def _tasks():
+    return generate_workload(
+        WorkloadConfig(
+            num_tasks=24, arrival_rate=1000.0, mean_deadline=0.015,
+            mean_flow_size=300_000.0, mean_flows_per_task=4.0, seed=3,
+        ),
+        HOSTS,
+    )
+
+
+def _flow_digest(result) -> str:
+    h = hashlib.sha256()
+    for fs in result.flow_states:
+        h.update(
+            f"{fs.flow.flow_id}:{fs.status.value}:{fs.completed_at!r}:"
+            f"{fs.bytes_sent!r}:{fs.remaining!r}\n".encode()
+        )
+    for ts in result.task_states:
+        h.update(f"{ts.task.task_id}:{ts.accepted}:{ts.outcome.value}\n".encode())
+    return h.hexdigest()
+
+
+_BATCHED = dict(batch_window=0.002, control_latency=0.0005)
+TAPS_CASES = {
+    "plain": (dict(), False),
+    "prospective-faults": (dict(preemption=PreemptionPolicy.PROSPECTIVE), True),
+    "batched": (_BATCHED, False),
+    "batched-faults": (_BATCHED, True),
+    "incremental-faults": (
+        dict(batch_window=0.002, reallocate_inflight=False,
+             preemption=PreemptionPolicy.PROSPECTIVE, flow_table_limit=6),
+        True,
+    ),
+}
+
+
+def taps_trace_digest(case: str) -> str:
+    kwargs, faulty = TAPS_CASES[case]
+    recorder = TraceRecorder()
+    Engine(TOPO, _tasks(), TapsScheduler(**kwargs),
+           faults=FAULTS if faulty else None, trace=recorder).run()
+    return hashlib.sha256(recorder.dumps().encode()).hexdigest()
+
+
+def baseline_flow_digest(name: str, faulty: bool) -> str:
+    result = Engine(TOPO, _tasks(), make_scheduler(name),
+                    faults=FAULTS if faulty else None).run()
+    return _flow_digest(result)
+
+
+TAPS_TRACE_SHA256 = {
+    "batched": "7a8bc09c145cb278a49f9456aea1fff86c1ccb497cdac2c27266ee32630f3f2d",
+    "batched-faults": "50f313b8089e5aaf3b9f3c07602d4be13b91731aab1bd2d3428b19c119e04407",
+    "incremental-faults": "26fb914f3e76427799ebbb51ee2875fa20691617a68e7289c2b4f9f08f902c2b",
+    "plain": "8be1eddefcdd05e5b87a63473da9058eee9488ad45870c7fd182c058a3ac0cef",
+    "prospective-faults": "69643bb2f7513f08e919417cee30e999125d50102cef38a9a58f51af17fc0ce0",
+}
+
+BASELINE_FLOWS_SHA256 = {
+    ("PDQ", False): "ec030aec1756d929c1818e4568a2d04c0bd03d592a598bc38fd9420bfe77a921",
+    ("PDQ", True): "c091033a7f7a52c26ad3c72655b8d0a07d6ca8b837b2a38248b9dd706b2ce405",
+    ("D3", False): "bfb64064b847423926433db9921e901a50cb4888d3acb670cf26881aaa5a0416",
+    ("D3", True): "eb12320bd3ab8b433e19cc5e019b42addf9dbfcf51913a683afb33d2f3ae9945",
+    ("D2TCP", False): "95f7a234eedcbabbab11bf1ca80da385da7a1421cfd2caff912e2a0d3ebb4cfd",
+    ("D2TCP", True): "2ba4e13ebf49258314caecb1a28808eee42191c617a17dec3b199969bb3bd87f",
+    ("Fair Sharing", False): "d748e0adf2c5d83899cf766a69147c7d3d06589d164744ccc18caf16c21950b0",
+    ("Fair Sharing", True): "fc14d4ee85cce0e9648a8b7c6b1b7848615a5ef22c9c3ce962915d2b7472bc26",
+    ("Baraat", False): "9c9e063eeffd8fb8d5f3a279cefde72ba4f958fa20a345a1b4cd1eb98bc92d90",
+    ("Baraat", True): "ef64f0d13e1f90a66055f9c35ff77ffb140511b7ecec1248e5f65f8b5ee34bcb",
+    ("Varys", False): "87dba9fbb45eb5c2a52e8156b4f7dd543853e23abef96936d98e4d040b4fcc6c",
+    ("Varys", True): "0549df66231d9b523fb7454b821aedeb58d5e0d7cd3ecc14f8435167fbf9ac9b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAPS_CASES))
+def test_taps_trace_matches_golden(case):
+    assert taps_trace_digest(case) == TAPS_TRACE_SHA256[case]
+
+
+@pytest.mark.parametrize("name,faulty", sorted(BASELINE_FLOWS_SHA256))
+def test_baseline_outcomes_match_golden(name, faulty):
+    assert baseline_flow_digest(name, faulty) == BASELINE_FLOWS_SHA256[
+        (name, faulty)
+    ]

@@ -15,7 +15,7 @@ the fused scans' glue predicates can drift from the canonical merge.
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.util.intervals import (
     EPS,
@@ -82,8 +82,19 @@ def test_merge_boundaries_splice_branch(a, many):
 # -- fused occupied-set scans ---------------------------------------------
 
 
+# An idle gap about EPS wide in front of the occupied interval, where an
+# addition-form gap test (``e <= after + EPS``) and the subtraction form of
+# complement() and the fused scans disagree: with it the reference fit ends
+# at 2.999999997 instead of 2.999999996, or raises for the longer duration.
+HAIRLINE_OCC = IntervalSet([(1.0000000005, 1.9999999985)])
+HAIRLINE_LO = 0.9999999995
+HAIRLINE_HI = 2.9999999985
+
+
 @given(interval_sets(), durations, releases)
 @settings(max_examples=200)
+@example(HAIRLINE_OCC, 0.9999999985, HAIRLINE_LO)
+@example(HAIRLINE_OCC, 1.000000001, HAIRLINE_LO)
 def test_occupied_fit_end_matches_reference(occ, duration, lo):
     ref = occ.complement(lo, HORIZON).idle_fit_end(duration, lo)
     assert occ.occupied_fit_end(duration, lo, HORIZON) == ref
@@ -91,6 +102,8 @@ def test_occupied_fit_end_matches_reference(occ, duration, lo):
 
 @given(interval_sets(), durations, releases)
 @settings(max_examples=200)
+@example(HAIRLINE_OCC, 0.9999999985, HAIRLINE_LO)
+@example(HAIRLINE_OCC, 1.000000001, HAIRLINE_LO)
 def test_occupied_first_fit_matches_reference(occ, duration, lo):
     ref = occ.complement(lo, HORIZON).first_fit(duration, lo)
     got = occ.occupied_first_fit(duration, lo, HORIZON)
@@ -99,6 +112,8 @@ def test_occupied_first_fit_matches_reference(occ, duration, lo):
 
 @given(interval_sets(), durations, releases,
        st.floats(min_value=0.0, max_value=80.0))
+@example(HAIRLINE_OCC, 0.9999999985, HAIRLINE_LO, HAIRLINE_HI)
+@example(HAIRLINE_OCC, 1.000000001, HAIRLINE_LO, HAIRLINE_HI)
 def test_occupied_fit_end_raises_with_reference(occ, duration, lo, hi):
     """Tight horizons: the fused scan fails exactly when the reference does."""
     idle = occ.complement(lo, hi)
