@@ -64,13 +64,17 @@ def time_allocation(
 ) -> tuple[IntervalSet, float]:
     """Alg. 3: allocate ``duration`` of idle time on ``path`` after ``release``.
 
-    Returns ``(slices, completion_time)``.  ``horizon`` must be generous
-    enough that the fit always succeeds (callers size it as
-    max-deadline + total backlog); running out is a programming error.
+    Returns ``(slices, completion_time)``; a ``duration`` of at most
+    ``EPS`` gets no slices and completes at ``release``, as Alg. 2 scores
+    it.  ``horizon`` must be generous enough that the fit always succeeds
+    (callers size it as max-deadline + total backlog); running out is a
+    programming error.
     ``occupied`` lets a caller that already holds the path's occupancy
     union (Alg. 2 just computed it for the winning candidate) skip the
     ledger re-query; it must match ``ledger.union_for(path)``.
     """
+    if duration <= EPS:
+        return IntervalSet(), release
     if occupied is None:
         occupied = ledger.union_for(path)
     try:
@@ -270,7 +274,8 @@ def _path_calculation(
             if on_unplannable == "skip":
                 continue
             raise
-        ledger.commit(best_path, slices)
+        if duration > EPS:
+            ledger.commit(best_path, slices)
         plans[f.flow_id] = FlowPlan(
             flow_state=fs, path=best_path, slices=slices, completion=completion
         )

@@ -19,11 +19,11 @@ Per the paper (§II, Fig. 2(b) walk-through):
 
 from __future__ import annotations
 
-from repro.sched.base import Scheduler, exclusive_full_rate
+from repro.sched.base import ExclusiveLinkScheduler, exclusive_full_rate
 from repro.sim.state import FlowState, TaskState
 
 
-class Baraat(Scheduler):
+class Baraat(ExclusiveLinkScheduler):
     """FIFO task order, SJF within task, exclusive full-rate links."""
 
     name = "Baraat"
@@ -48,15 +48,8 @@ class Baraat(Scheduler):
         )
 
     def assign_rates(self, now: float) -> None:
-        assert self.topology is not None
-        if not self.active_flows:
-            return
-        links = self.topology.links
-        exclusive_full_rate(
-            self.active_flows,
-            priority_key=self._priority,
-            capacity_of=lambda path: min(links[l].capacity for l in path),
-        )
+        self.active_flows.sort(key=self._priority)
+        exclusive_full_rate(self.active_flows, self._bottleneck)
 
     def on_deadline_expired(self, fs: FlowState, now: float) -> None:
         if self.stop_missed_flows:

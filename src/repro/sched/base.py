@@ -23,15 +23,21 @@ A scheduler owns four decisions, invoked by the engine:
 Flows may be stopped only from admission, rates, deadline reaction and
 link-state callbacks; ``on_flow_completed`` must not stop other flows.
 
-Helper mixins here implement the common "exclusive full-rate links by
-priority" allocation used by PDQ, Baraat, and the motivation examples.
+PDQ's transmission model — each link carries at most one flow, at full
+rate, granted in priority order — is implemented once here and shared by
+PDQ and Baraat: :class:`ExclusiveLinkScheduler` keeps ``active_flows`` in
+priority order and caches each flow's path bottleneck, and
+:func:`exclusive_full_rate` is the greedy link claim over that order.
+The priority keys (:data:`PRIORITY_KEYS`) also serve TAPS' ``Ftmp`` sort.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.net.paths import PathService
+from repro.net.link import Link
 from repro.net.topology import Topology
 from repro.sim.state import FlowState, FlowStatus, TaskState
 
@@ -111,30 +117,56 @@ class Scheduler(ABC):
             pass
 
 
+class PathBottlenecks(dict):
+    """``FlowState`` → bottleneck rate of its path, computed on the first
+    lookup: paths and capacities are fixed while a flow is in flight."""
+
+    __slots__ = ("_links",)
+
+    def __init__(self, links: Sequence[Link]) -> None:
+        super().__init__()
+        self._links = links
+
+    def __missing__(self, fs: FlowState) -> float:
+        cap = self[fs] = min(self._links[l].capacity for l in fs.path)  # type: ignore[union-attr]
+        return cap
+
+
+class ExclusiveLinkScheduler(Scheduler):
+    """Base of PDQ and Baraat, whose ``assign_rates`` re-sort
+    ``active_flows`` in place: flows join at the tail and keys barely move
+    between events, so Timsort finds it almost sorted, and with unique
+    keys the order is a fresh ``sorted()``'s.  ``_bottleneck`` holds each
+    in-flight flow's path bottleneck and drops it when the flow leaves."""
+
+    def attach(self, topology: Topology, paths: PathService) -> None:
+        super().attach(topology, paths)
+        self._bottleneck = PathBottlenecks(topology.links)
+
+    def _drop(self, fs: FlowState) -> None:
+        super()._drop(fs)
+        self._bottleneck.pop(fs, None)
+
+
 def exclusive_full_rate(
-    flows: list[FlowState],
-    priority_key,
-    capacity_of,
+    ordered: Iterable[FlowState],
+    bottleneck: Mapping[FlowState, float],
 ) -> None:
     """Greedy exclusive-link allocation (PDQ's transmission model, §IV-A).
 
-    Flows are visited in ``priority_key`` order; a flow transmits at the
-    full rate of its path iff *every* link on its path is still unclaimed;
-    otherwise its rate is zero ("at most one flow on transmission on each
-    link at any time").
-
-    ``capacity_of(path)`` returns the bottleneck rate of the path (uniform
-    capacity in the paper, but kept general).
+    Flows are visited in the order given (highest priority first); a flow
+    transmits at ``bottleneck[fs]``, the full rate of its path, iff
+    *every* link on its path is still unclaimed; otherwise its rate is
+    zero ("at most one flow on transmission on each link at any time").
     """
     busy: set[int] = set()
-    for fs in sorted(flows, key=priority_key):
+    for fs in ordered:
         path = fs.path
-        assert path is not None, f"flow {fs.flow.flow_id} has no path"
-        if any(l in busy for l in path):
-            fs.rate = 0.0
+        if busy.isdisjoint(path):  # type: ignore[arg-type]
+            fs.rate = bottleneck[fs]
+            busy.update(path)  # type: ignore[arg-type]
         else:
-            fs.rate = capacity_of(path)
-            busy.update(path)
+            fs.rate = 0.0
 
 
 def edf_sjf_key(fs: FlowState) -> tuple[float, float, int]:

@@ -16,22 +16,24 @@ Per the paper (§II, §V-A, Fig. 1(d)/Fig. 3 walk-throughs):
   large-scale runs.
 
 PDQ is distributed in reality; at flow level its behaviour is the greedy
-priority allocation below (the paper simulates it the same way).
+priority allocation of :func:`~repro.sched.base.exclusive_full_rate` (the
+paper simulates it the same way).
 """
 
 from __future__ import annotations
 
-from repro.sched.base import Scheduler, edf_sjf_key
+from repro.sched.base import ExclusiveLinkScheduler, edf_sjf_key, exclusive_full_rate
 from repro.sim.state import FlowState, FlowStatus, TaskState
 
 
-class PDQ(Scheduler):
+class PDQ(ExclusiveLinkScheduler):
     """EDF+SJF preemptive exclusive-link scheduling with Early Termination.
 
     Parameters
     ----------
     early_termination:
         Kill flows that cannot meet their deadline even alone (default on).
+        Without it, the default quit-on-miss kills a flow at its deadline.
     flow_list_limit:
         Per-switch flow-list capacity; flows beyond it are paused at that
         switch.  ``None`` = unbounded.
@@ -53,8 +55,9 @@ class PDQ(Scheduler):
         super().attach(topology, paths)
         # a flow "occupies a slot" at the switch that forwards it, i.e. the
         # source node of each link it traverses that is a switch
+        switch_set = set(topology.switches)
         self._switch_of_link = {
-            l.index: l.src for l in topology.links if l.src in set(topology.switches)
+            l.index: l.src for l in topology.links if l.src in switch_set
         }
 
     def on_task_arrival(self, task_state: TaskState, now: float) -> None:
@@ -62,47 +65,43 @@ class PDQ(Scheduler):
         self._admit_flows(task_state)
 
     def assign_rates(self, now: float) -> None:
-        assert self.topology is not None
         flows = self.active_flows
         if not flows:
             return
-        links = self.topology.links
+        bottleneck = self._bottleneck
 
         # Early Termination: hopeless even at full rate, alone
         if self.early_termination:
-            doomed: list[FlowState] = []
-            for fs in flows:
-                cap = min(links[l].capacity for l in fs.path)  # type: ignore[union-attr]
-                if fs.remaining > (fs.flow.deadline - now) * cap + 1e-6:
-                    doomed.append(fs)
+            doomed = [
+                fs for fs in flows
+                if fs.remaining > (fs.flow.deadline - now) * bottleneck[fs] + 1e-6
+            ]
             for fs in doomed:
                 fs.kill(FlowStatus.TERMINATED)
                 self._drop(fs)
-            flows = self.active_flows
             if not flows:
                 return
 
-        busy: set[int] = set()
-        slots: dict[str, int] = {}
-        limit = self.flow_list_limit
-        for fs in sorted(flows, key=edf_sjf_key):
-            path = fs.path
-            assert path is not None
-            if limit is not None:
-                switches = {self._switch_of_link[l] for l in path if l in self._switch_of_link}
-                if any(slots.get(sw, 0) >= limit for sw in switches):
-                    fs.rate = 0.0  # no room in some switch's flow list
-                    continue
-                for sw in switches:
-                    slots[sw] = slots.get(sw, 0) + 1
-            if any(l in busy for l in path):
-                fs.rate = 0.0
-            else:
-                fs.rate = min(links[l].capacity for l in path)
-                busy.update(path)
+        flows.sort(key=edf_sjf_key)
+        if self.flow_list_limit is not None:
+            flows = self._with_switch_slot(flows)
+        exclusive_full_rate(flows, bottleneck)
 
-    def on_deadline_expired(self, fs: FlowState, now: float) -> None:
-        # With ET on, a flow is killed before its deadline ever fires; this
-        # is the backstop for early_termination=False.
-        fs.kill(FlowStatus.TERMINATED)
-        self._drop(fs)
+    def _with_switch_slot(self, ordered: list[FlowState]) -> list[FlowState]:
+        """The flows that find room in every switch's flow list on their
+        path, in priority order; the rest are paused.  Slots go by
+        priority alone, never by link state, so this precedes the link
+        claim."""
+        limit = self.flow_list_limit
+        switch_of_link = self._switch_of_link
+        slots: dict[str, int] = {}
+        admitted: list[FlowState] = []
+        for fs in ordered:
+            switches = {switch_of_link[l] for l in fs.path if l in switch_of_link}  # type: ignore[union-attr]
+            if any(slots.get(sw, 0) >= limit for sw in switches):  # type: ignore[operator]
+                fs.rate = 0.0  # no room in some switch's flow list
+                continue
+            for sw in switches:
+                slots[sw] = slots.get(sw, 0) + 1
+            admitted.append(fs)
+        return admitted

@@ -55,6 +55,12 @@ class TestTimeAllocation:
         with pytest.raises(AllocationError):
             time_allocation(ledger, (0,), 10.0, release=0.0, horizon=5.0)
 
+    def test_nothing_to_send_gets_no_slices(self):
+        ledger = OccupancyLedger()
+        slices, end = time_allocation(ledger, (0,), 5e-10, release=2.0, horizon=100.0)
+        assert not slices
+        assert end == 2.0
+
     def test_completion_on_path_matches(self):
         ledger = OccupancyLedger()
         ledger.commit((0,), IntervalSet.single(0.5, 2.5))
@@ -63,6 +69,22 @@ class TestTimeAllocation:
 
 
 class TestPathCalculation:
+    def test_nothing_to_send_commits_nothing(self):
+        commits = []
+
+        class SpyLedger(OccupancyLedger):
+            def commit(self, path, slices):
+                commits.append(path)
+                super().commit(path, slices)
+
+        flows = [_fs(0, "L0", "R0", 5e-10, 10.0, release=1.0)]
+        plans = path_calculation(
+            flows, SpyLedger(), PathService(dumbbell(1)), 1.0, 0.5, 100.0
+        )
+        assert not plans[0].slices
+        assert plans[0].completion == 1.0
+        assert commits == []
+
     def test_single_path_serializes_in_order(self):
         topo = dumbbell(2)
         paths = PathService(topo)

@@ -69,18 +69,18 @@ class TestEdfSjfKey:
 class TestExclusiveFullRate:
     def test_winner_takes_all_links(self):
         flows = [_fs(0, 1.0, 1.0, path=(0, 1)), _fs(1, 2.0, 1.0, path=(1, 2))]
-        exclusive_full_rate(flows, edf_sjf_key, capacity_of=lambda p: 1.0)
+        exclusive_full_rate(sorted(flows, key=edf_sjf_key), {fs: 1.0 for fs in flows})
         assert flows[0].rate == 1.0
         assert flows[1].rate == 0.0  # shares link 1 with the winner
 
     def test_disjoint_paths_both_run(self):
         flows = [_fs(0, 1.0, 1.0, path=(0,)), _fs(1, 2.0, 1.0, path=(1,))]
-        exclusive_full_rate(flows, edf_sjf_key, capacity_of=lambda p: 3.0)
+        exclusive_full_rate(sorted(flows, key=edf_sjf_key), {fs: 3.0 for fs in flows})
         assert flows[0].rate == flows[1].rate == 3.0
 
     def test_priority_order_respected(self):
         # both want link 0; the more critical (earlier deadline) wins
         flows = [_fs(0, 9.0, 1.0, path=(0,)), _fs(1, 1.0, 1.0, path=(0,))]
-        exclusive_full_rate(flows, edf_sjf_key, capacity_of=lambda p: 1.0)
+        exclusive_full_rate(sorted(flows, key=edf_sjf_key), {fs: 1.0 for fs in flows})
         assert flows[0].rate == 0.0
         assert flows[1].rate == 1.0

@@ -8,6 +8,8 @@ from repro.sched.pdq import PDQ
 from repro.sim.engine import Engine
 from repro.sim.faults import LinkFault
 from repro.sim.state import FlowStatus
+from repro.trace import TraceRecorder
+from repro.trace.audit import audit_trace
 from repro.workload.flow import make_task
 from repro.workload.traces import dumbbell
 
@@ -143,6 +145,19 @@ def test_flow_inside_tolerance_settles_without_transmitting():
     assert tiny.status is FlowStatus.COMPLETED
     assert tiny.completed_at == 1.0
     assert result.tasks_completed == 2
+
+
+def test_taps_accepts_a_flow_with_nothing_to_send():
+    """A flow whose transmission time is within EPS gets a plan with no
+    slices and settles like any flow inside the completion tolerance."""
+    topo = dumbbell(1)
+    tasks = [make_task(0, 0.0, 1.0, [("L0", "R0", 5e-10)], 0)]
+    recorder = TraceRecorder()
+    result = Engine(topo, tasks, TapsScheduler(), trace=recorder).run()
+    assert result.task_states[0].accepted is True
+    assert result.flow_states[0].status is FlowStatus.COMPLETED
+    assert result.tasks_completed == 1
+    assert audit_trace(recorder).ok
 
 
 def test_flow_stopped_inside_an_event_still_offers_its_deadline():

@@ -1,10 +1,11 @@
 """Golden pins: decision traces and per-flow outcomes, byte for byte.
 
-The engine and the TAPS sender model are exact rewrites of a full-scan
-loop (see DESIGN.md §5.3): every event, rate and completion instant must
-come out bit-identical, because one extra or missing event splits an
-integration step and moves completion times in the last ulp.  These
-digests were computed with the full-scan engine on the same inputs; a
+The engine, the TAPS sender model and the exclusive-link allocator of PDQ
+and Baraat are exact rewrites of full-scan loops (see DESIGN.md §5.3 and
+§5.4): every event, rate and completion instant must come out
+bit-identical, because one extra or missing event splits an integration
+step and moves completion times in the last ulp.  These
+digests were computed with the full-scan code on the same inputs; a
 change that moves any of them changes simulated behaviour and must say so.
 
 Inputs are small on purpose (a k=4 fat-tree, two dozen tasks over eight
@@ -21,6 +22,8 @@ import pytest
 from repro.core.controller import TapsScheduler
 from repro.core.reject import PreemptionPolicy
 from repro.net.fattree import FatTree
+from repro.sched.baraat import Baraat
+from repro.sched.pdq import PDQ
 from repro.sched.registry import make_scheduler
 from repro.sim.engine import Engine
 from repro.sim.faults import LinkFault
@@ -97,8 +100,17 @@ def taps_trace_digest(case: str) -> str:
     return hashlib.sha256(recorder.dumps().encode()).hexdigest()
 
 
+# non-default knobs of the exclusive-link schedulers
+VARIANTS = {
+    "PDQ flow_list_limit=2": lambda: PDQ(flow_list_limit=2),
+    "PDQ early_termination=False": lambda: PDQ(early_termination=False),
+    "Baraat stop_missed_flows=False": lambda: Baraat(stop_missed_flows=False),
+}
+
+
 def baseline_flow_digest(name: str, faulty: bool) -> str:
-    result = Engine(TOPO, _tasks(), make_scheduler(name),
+    scheduler = VARIANTS[name]() if name in VARIANTS else make_scheduler(name)
+    result = Engine(TOPO, _tasks(), scheduler,
                     faults=FAULTS if faulty else None).run()
     return _flow_digest(result)
 
@@ -124,6 +136,12 @@ BASELINE_FLOWS_SHA256 = {
     ("Baraat", True): "ef64f0d13e1f90a66055f9c35ff77ffb140511b7ecec1248e5f65f8b5ee34bcb",
     ("Varys", False): "87dba9fbb45eb5c2a52e8156b4f7dd543853e23abef96936d98e4d040b4fcc6c",
     ("Varys", True): "0549df66231d9b523fb7454b821aedeb58d5e0d7cd3ecc14f8435167fbf9ac9b",
+    ("PDQ flow_list_limit=2", False): "2e90bd7312bcf3556930d129711cd41a9edc284281e3a5573a7d11b778d53282",
+    ("PDQ flow_list_limit=2", True): "5676d7c289fd51ba3874c4faf22f0f774ec7b77a82bd88d10b88e9a904ad9a65",
+    ("PDQ early_termination=False", False): "574e694ea4ecf8010f1111929b5374b941407b972e15a46b56f701e40bae05e8",
+    ("PDQ early_termination=False", True): "a0be993c7bb43055bd075ed25a5f1f63e0f05c3c44d006a2cee41d10179b7c7c",
+    ("Baraat stop_missed_flows=False", False): "b793731d56c91630ab80881285e476b36546d7c7606660836cde90f82fe6f86e",
+    ("Baraat stop_missed_flows=False", True): "ef0d6bd5f1c765ab656f66fd530211e254061115bc7c5c3d13e651c194c8b7ee",
 }
 
 
