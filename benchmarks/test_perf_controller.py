@@ -1,10 +1,10 @@
-"""Controller fast-path benchmark: speedup AND bit-identical decisions.
+"""Controller benchmark: speedup AND bit-identical decisions.
 
 Runs one frozen arrival-heavy workload (64 hosts of a k=8 fat-tree, Poisson
-arrivals, ~3.6k flows) through the TAPS controller twice — ``fast_path=True``
-(union caching + fused pair-scan candidate evaluation + trial journal) and
-``fast_path=False`` (the pre-fast-path reference: per-candidate union fold +
-complement + fit, deep-copied trial ledgers) — and asserts:
+arrivals, ~4.4k flows) through the TAPS controller twice — the production
+allocator (segment cache + fused pair-scan candidate evaluation) and the
+reference allocator of :mod:`tests.reference_taps` (per-candidate union
+fold + complement + fit) — and asserts:
 
 1. **Equivalence**: the two runs make the *same decisions* — the decision
    traces (:mod:`repro.trace`) serialize to byte-identical JSONL (same
@@ -13,7 +13,7 @@ complement + fit, deep-copied trial ledgers) — and asserts:
 2. **Speedup**: at full scale, controller time (admission + reallocation,
    measured around the scheduler callbacks) improves by >= 2x.
 
-A third fast-path run with a :class:`~repro.obs.registry.MetricsRegistry`
+A third production run with a :class:`~repro.obs.registry.MetricsRegistry`
 attached must also trace byte-identically — telemetry is observational
 only — and its controller-time overhead versus the untelemetered run is
 recorded in the JSON (not gated; timing ratios are too noisy on shared
@@ -42,6 +42,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.trace import TraceRecorder, audit_trace
 from repro.workload.generator import WorkloadConfig, generate_workload
+from tests.reference_taps import ReferenceTaps
 
 SCALES = {
     # ~2.5 min total (reference run dominates); the scale where the fast
@@ -58,8 +59,8 @@ HOSTS_USED = 64
 MAX_PATHS = 8
 
 
-class _TimedScheduler(TapsScheduler):
-    """TAPS with a controller-time stopwatch.
+class _Timed:
+    """Controller-time stopwatch, mixed into a TAPS scheduler class.
 
     ``controller_seconds`` sums wall time spent inside admission, the
     honest "controller cost" (path calculation + trial ledger management
@@ -81,6 +82,14 @@ class _TimedScheduler(TapsScheduler):
             self.controller_seconds += time.perf_counter() - t0
 
 
+class _TimedScheduler(_Timed, TapsScheduler):
+    """Production TAPS with the stopwatch."""
+
+
+class _TimedReference(_Timed, ReferenceTaps):
+    """Reference-allocator TAPS with the stopwatch."""
+
+
 def _workload(scale: dict):
     topo = FatTree(k=8)
     hosts = list(topo.hosts)[:HOSTS_USED]
@@ -89,7 +98,7 @@ def _workload(scale: dict):
 
 
 def _run(topo, tasks, fast: bool, telemetry: MetricsRegistry | None = None):
-    sched = _TimedScheduler(fast_path=fast)
+    sched = _TimedScheduler() if fast else _TimedReference()
     paths = PathService(topo, max_paths=MAX_PATHS)
     recorder = TraceRecorder()
     t0 = time.perf_counter()
@@ -177,7 +186,7 @@ def test_perf_controller(results_dir):
             "path_calculation": round(speedup_pc, 3),
         },
         "telemetry": {
-            # enabled-vs-disabled on the identical fast-path workload;
+            # enabled-vs-disabled on the identical production workload;
             # recorded, not gated — shared runners are too noisy
             "controller_seconds": telemetered["controller_seconds"],
             "overhead_vs_disabled": round(telemetry_overhead, 4),

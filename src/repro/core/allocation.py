@@ -10,6 +10,7 @@ reject rule's job (:mod:`repro.core.reject`).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -87,26 +88,6 @@ def time_allocation(
     return slices, slices.end()
 
 
-def completion_on_path(
-    ledger: OccupancyLedger,
-    path: Path,
-    duration: float,
-    release: float,
-    horizon: float,
-) -> float:
-    """Completion time a flow would get on ``path`` — Alg. 3 without
-    materialising the slices (used to compare candidate paths cheaply)."""
-    occupied = ledger.union_for(path)
-    idle = occupied.complement(release, horizon)
-    try:
-        return idle.idle_fit_end(duration, release)
-    except ValueError as exc:
-        raise AllocationError(
-            f"horizon {horizon:g} too small for duration {duration:g} "
-            f"after t={release:g}"
-        ) from exc
-
-
 def path_calculation(
     flows: list[FlowState],
     ledger: OccupancyLedger,
@@ -116,7 +97,6 @@ def path_calculation(
     horizon: float,
     on_unplannable: str = "raise",
     profile=None,
-    prune: bool = True,
     spans=None,
 ) -> dict[int, FlowPlan]:
     """Alg. 2: allocate every flow, in the order given, onto its best path.
@@ -131,154 +111,103 @@ def path_calculation(
     :class:`~repro.util.errors.AllocationError`; ``"skip"`` omits the flow
     from the returned plans (it simply does not transmit for now).
 
+    Candidates are compared by completion time, scored with a fused pair
+    scan over the path's two partial union folds
+    (:meth:`~repro.core.occupancy.OccupancyLedger.union_parts`) — no union
+    or idle complement is materialised for a losing candidate.  Two exact
+    cut-offs skip work: a candidate is not scanned once the
+    contention-free completion ``release + duration`` (a lower bound on
+    every path) cannot beat the best so far, and a scan aborts as soon as
+    its earliest possible completion reaches the best.  Both only drop
+    candidates that compare as losers, so the chosen path is the one the
+    full union + complement + first-fit evaluation picks.
+
     ``profile`` (optional :class:`~repro.obs.hotpath.HotPathCounters`)
     counts work done and wall time; ``spans`` (optional
     :class:`~repro.obs.spans.SpanTimers`) additionally records each call's
     duration as a ``path_calculation`` span nested under whatever span the
-    caller has open.  ``prune`` enables the fast candidate
-    evaluation: candidates whose contention-free completion (``release +
-    duration``, a hard lower bound on any path) cannot beat the current
-    best are skipped outright, and the survivors are scored with a fused
-    pair scan over the path's partial union folds that aborts the moment
-    it is provably beaten — instead of materialising each candidate's
-    union and idle complement.  Both cut-offs are exact (they only ever
-    drop candidates that compare as losers), and the fused scan computes
-    the identical completion, so pruning never changes the chosen path.
-    ``prune=False`` reproduces the pre-fast-path evaluation (full union +
-    complement + fit per candidate) for the reference mode of the
-    equivalence tests and benchmarks.
+    caller has open.
 
     Returns plans keyed by flow id.
     """
     if on_unplannable not in ("raise", "skip"):
         raise ValueError(f"bad on_unplannable {on_unplannable!r}")
-    if spans is not None:
-        with spans.span("path_calculation"):
-            return _profiled_path_calculation(
-                flows, ledger, paths, capacity, now, horizon, on_unplannable,
-                profile, prune,
-            )
-    return _profiled_path_calculation(
-        flows, ledger, paths, capacity, now, horizon, on_unplannable,
-        profile, prune,
-    )
-
-
-def _profiled_path_calculation(
-    flows, ledger, paths, capacity, now, horizon, on_unplannable, profile, prune
-) -> dict[int, FlowPlan]:
-    if profile is None:
-        return _path_calculation(
-            flows, ledger, paths, capacity, now, horizon, on_unplannable,
-            profile, prune,
-        )
-    profile.path_calculation_calls += 1
-    t0 = perf_counter()
-    try:
-        return _path_calculation(
-            flows, ledger, paths, capacity, now, horizon, on_unplannable,
-            profile, prune,
-        )
-    finally:
-        profile.path_calculation_seconds += perf_counter() - t0
-
-
-def _path_calculation(
-    flows: list[FlowState],
-    ledger: OccupancyLedger,
-    paths: PathService,
-    capacity: float,
-    now: float,
-    horizon: float,
-    on_unplannable: str,
-    profile,
-    prune: bool,
-) -> dict[int, FlowPlan]:
     plans: dict[int, FlowPlan] = {}
-    for fs in flows:
-        f = fs.flow
-        duration = fs.remaining / capacity
-        release = max(now, f.release)
-        candidates = paths.candidates(f.src, f.dst)
-        if not candidates:
-            raise AllocationError(f"no path for flow {f.flow_id}: {f.src}->{f.dst}")
-
-        best_occ: IntervalSet | None = None
-        if len(candidates) == 1:
-            best_path = candidates[0]
-        else:
-            # line 7–14: keep the path with the earliest completion.
-            # Fast path: each candidate's union is available as two
-            # partial folds (shared endpoint fold + cached interior
-            # segment), and its completion is scored straight off the
-            # pair with one fused scan — no union is materialised for
-            # losing candidates.  Two exact cut-offs skip work:
-            #   1. release + duration >= best_end: free; kills every
-            #      later candidate once one found a contention-free fit;
-            #   2. the scan aborts the moment its earliest possible
-            #      completion reaches best_end (stop_at).
-            # Only the winner's union is merged, for slice building.
-            best_path, best_end = None, float("inf")
-            best_parts: tuple[list[float], list[float]] | None = None
-            union_memo: dict[Path, list[float]] | None = {} if prune else None
-            for p in candidates:
-                if profile is not None:
-                    profile.candidates_evaluated += 1
-                if prune:
-                    if (
-                        best_path is not None
-                        and release + duration >= best_end - EPS
-                    ):
-                        if profile is not None:
-                            profile.candidates_pruned += 1
-                        continue
-                    shared, inter = ledger.union_parts(p, union_memo)
-                    try:
-                        end = occupied_fit_end_pair(
-                            shared, inter, duration, release, horizon,
-                            stop_at=best_end - EPS,
-                        )
-                    except ValueError:
-                        continue  # this candidate cannot fit (blocked link)
-                    if end < best_end - EPS:
-                        best_end, best_path = end, p
-                        best_parts = (shared, inter)
-                else:
-                    # reference mode: the pre-fast-path evaluation
-                    occupied = ledger.union_for(p)
-                    idle = occupied.complement(release, horizon)
-                    try:
-                        end = idle.idle_fit_end(duration, release)
-                    except ValueError:
-                        continue  # this candidate cannot fit (blocked link)
-                    if end < best_end - EPS:
-                        best_end, best_path = end, p
-            if best_parts is not None:
-                best_occ = IntervalSet._from_boundaries(
-                    merge_boundaries(best_parts[0], best_parts[1])
-                )
-        if best_path is None:
-            if on_unplannable == "skip":
-                continue
-            raise AllocationError(
-                f"no candidate path can fit flow {f.flow_id} "
-                f"({f.src}->{f.dst}) within horizon {horizon:g}"
-            )
-
+    with nullcontext() if spans is None else spans.span("path_calculation"):
+        t0 = perf_counter()
         try:
-            slices, completion = time_allocation(
-                ledger, best_path, duration, release, horizon,
-                occupied=best_occ,
-            )
-        except AllocationError:
-            if on_unplannable == "skip":
-                continue
-            raise
-        if duration > EPS:
-            ledger.commit(best_path, slices)
-        plans[f.flow_id] = FlowPlan(
-            flow_state=fs, path=best_path, slices=slices, completion=completion
-        )
+            for fs in flows:
+                f = fs.flow
+                duration = fs.remaining / capacity
+                release = max(now, f.release)
+                candidates = paths.candidates(f.src, f.dst)
+                if not candidates:
+                    raise AllocationError(
+                        f"no path for flow {f.flow_id}: {f.src}->{f.dst}"
+                    )
+
+                best_occ: IntervalSet | None = None
+                if len(candidates) == 1:
+                    best_path = candidates[0]
+                else:
+                    # line 7–14: keep the path with the earliest
+                    # completion; only the winner's union is merged, for
+                    # slice building
+                    best_path, best_end = None, float("inf")
+                    best_parts: tuple[list[float], list[float]] | None = None
+                    union_memo: dict[Path, list[float]] = {}
+                    for p in candidates:
+                        if profile is not None:
+                            profile.candidates_evaluated += 1
+                        if (
+                            best_path is not None
+                            and release + duration >= best_end - EPS
+                        ):
+                            if profile is not None:
+                                profile.candidates_pruned += 1
+                            continue
+                        shared, inter = ledger.union_parts(p, union_memo)
+                        try:
+                            end = occupied_fit_end_pair(
+                                shared, inter, duration, release, horizon,
+                                stop_at=best_end - EPS,
+                            )
+                        except ValueError:
+                            continue  # this candidate cannot fit (blocked link)
+                        if end < best_end - EPS:
+                            best_end, best_path = end, p
+                            best_parts = (shared, inter)
+                    if best_parts is not None:
+                        best_occ = IntervalSet._from_boundaries(
+                            merge_boundaries(best_parts[0], best_parts[1])
+                        )
+                if best_path is None:
+                    if on_unplannable == "skip":
+                        continue
+                    raise AllocationError(
+                        f"no candidate path can fit flow {f.flow_id} "
+                        f"({f.src}->{f.dst}) within horizon {horizon:g}"
+                    )
+
+                try:
+                    slices, completion = time_allocation(
+                        ledger, best_path, duration, release, horizon,
+                        occupied=best_occ,
+                    )
+                except AllocationError:
+                    if on_unplannable == "skip":
+                        continue
+                    raise
+                if duration > EPS:
+                    ledger.commit(best_path, slices)
+                plans[f.flow_id] = FlowPlan(
+                    flow_state=fs, path=best_path, slices=slices,
+                    completion=completion,
+                )
+        finally:
+            if profile is not None:
+                profile.path_calculation_calls += 1
+                profile.path_calculation_seconds += perf_counter() - t0
     return plans
 
 

@@ -4,14 +4,18 @@ On every task arrival the controller:
 
 1. gathers ``Ftmp`` = the new task's flows + every in-flight accepted flow
    (their *remaining* sizes — progress made so far is kept);
-2. sorts by EDF then SJF and runs :func:`~repro.core.allocation.path_calculation`
-   on a **fresh** trial ledger (global re-optimisation: in-flight flows may
-   be moved to new slices and even new paths — this is TAPS' preemption);
+2. runs one *trial* (:meth:`TapsScheduler._trial`): sorts by EDF then SJF
+   and runs :func:`~repro.core.allocation.path_calculation` on a **fresh**
+   trial ledger (global re-optimisation: in-flight flows may be moved to
+   new slices and even new paths — this is TAPS' preemption);
 3. applies the :class:`~repro.core.reject.RejectRule`; on *discard-victim*
-   the victim's flows are killed and the trial repeats without them;
+   the trial is rolled back through the ledger's journal and repeats
+   without the victim's flows;
 4. on acceptance commits the trial (plans + ledger); on rejection drops it
    — in-flight flows keep their previous slices untouched, and the rejected
    task never sends a byte.
+
+Incremental admission and fault reallocation run the same trial routine.
 
 Senders then transmit at full link rate exactly inside their allocated
 slices (paper §IV-D); accepted flows meet their deadlines by construction,
@@ -34,7 +38,7 @@ from repro.core.allocation import (
 )
 from repro.core.reject import Decision, PreemptionPolicy, RejectRule
 from repro.core.occupancy import OccupancyLedger
-from repro.obs.hotpath import HotPathCounters as ProfileCounters
+from repro.obs.hotpath import HotPathCounters
 from repro.obs.registry import MetricsRegistry
 from repro.sched.base import PRIORITY_KEYS, Scheduler
 from repro.sim.state import FlowState, FlowStatus, TaskState
@@ -87,7 +91,7 @@ class RejectionDiagnostics:
 class TapsStats:
     """Controller decision counters (reported by experiments).
 
-    ``profile`` holds the hot-path work counters (union-cache hit rate,
+    ``profile`` holds the hot-path work counters (segment-cache hit rate,
     intervals scanned, candidates pruned, time in path calculation) — see
     :class:`~repro.obs.hotpath.HotPathCounters`.
     """
@@ -100,7 +104,7 @@ class TapsStats:
     flows_planned: int = 0
     fault_reroutes: int = 0
     tasks_dropped_on_fault: int = 0
-    profile: ProfileCounters = field(default_factory=ProfileCounters)
+    profile: HotPathCounters = field(default_factory=HotPathCounters)
 
 
 class TapsScheduler(Scheduler):
@@ -145,14 +149,6 @@ class TapsScheduler(Scheduler):
         Record a :class:`RejectionDiagnostics` (reason + per-flow
         lateness) for every rejected task in ``self.diagnostics`` —
         the operator's "why was my task refused?" trail.
-    fast_path:
-        Enable the allocation fast path (default): per-path union caching
-        with link-level dirty tracking in the occupancy ledger, candidate
-        pruning in Alg. 2, and journal-based trial rollback instead of
-        ledger deep copies.  All three are exact — scheduling decisions
-        and flow plans are identical either way (asserted by
-        ``benchmarks/test_perf_controller.py``); ``False`` is the
-        pre-fast-path reference mode those comparisons run against.
     trace:
         Optional :class:`~repro.trace.recorder.TraceRecorder`: the
         controller emits its decision pipeline into it as typed events
@@ -160,7 +156,7 @@ class TapsScheduler(Scheduler):
         table, reject with the rule clause that fired, preemptions,
         fault reallocations) for offline auditing
         (:func:`~repro.trace.audit.audit_trace`).  Events record
-        decisions only — never fast-path internals — so decision-equal
+        decisions only — never allocator internals — so decision-equal
         runs emit identical streams.  When the engine is constructed
         with a recorder it hands it to an un-traced TAPS scheduler
         automatically.
@@ -190,7 +186,6 @@ class TapsScheduler(Scheduler):
         reallocate_inflight: bool = True,
         priority: str = "edf_sjf",
         explain: bool = False,
-        fast_path: bool = True,
         trace: TraceRecorder | None = None,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
@@ -211,13 +206,12 @@ class TapsScheduler(Scheduler):
         self.priority = priority
         self._priority_key = PRIORITY_KEYS[priority]
         self.explain = explain
-        self.fast_path = fast_path
         self.trace = trace
         self.telemetry = telemetry
         self.diagnostics: list[RejectionDiagnostics] = []
         self._switch_of_link: dict[int, str] = {}
         self.stats = TapsStats()
-        self.ledger = self._new_ledger()
+        self.ledger = OccupancyLedger(profile=self.stats.profile)
         self.plans: dict[int, FlowPlan] = {}
         # boundary calendar of the sender model; None = reseed on next use
         self._rate_heap: list[tuple[float, int, FlowPlan]] | None = None
@@ -230,14 +224,10 @@ class TapsScheduler(Scheduler):
         self._down_links: frozenset[int] = frozenset()
         self._accepted_flows: dict[int, FlowState] = {}
 
-    def _new_ledger(self) -> OccupancyLedger:
-        """A fresh ledger in this controller's mode, wired to the profile."""
-        return OccupancyLedger(profile=self.stats.profile, cache=self.fast_path)
-
     def attach(self, topology, paths) -> None:
         super().attach(topology, paths)
         self.stats = TapsStats()
-        self.ledger = self._new_ledger()
+        self.ledger = OccupancyLedger(profile=self.stats.profile)
         self._replace_plans({})
         self._task_states = {}
         self._pending = []
@@ -252,8 +242,8 @@ class TapsScheduler(Scheduler):
         }
         if self.trace is not None:
             # trace identity: what the auditor needs to pick invariants.
-            # Deliberately excludes fast_path — decision-equal modes must
-            # serialize identically (asserted by the equivalence tests).
+            # It names no allocator internals — the reference allocator of
+            # the equivalence tests must serialize identically.
             self.trace.set_meta(
                 scheduler=self.name,
                 priority=self.priority,
@@ -262,13 +252,10 @@ class TapsScheduler(Scheduler):
                 exclusive_links=True,
             )
         if self.telemetry is not None:
-            # telemetry identity may include fast_path — unlike trace meta
-            # it is not under the byte-identity contract
             self.telemetry.set_meta(
                 scheduler=self.name,
                 priority=self.priority,
                 preemption=self.rule.policy.value,
-                fast_path=self.fast_path,
             )
 
     # -- telemetry ----------------------------------------------------------
@@ -364,59 +351,40 @@ class TapsScheduler(Scheduler):
 
     def _admit(self, task_state: TaskState, now: float) -> None:
         assert self.paths is not None
-        self._task_states[task_state.task.task_id] = task_state
-        # one controller round-trip before any new slice can start
+        task_id = task_state.task.task_id
+        self._task_states[task_id] = task_state
+        # one controller round-trip before any new slice can start; the
+        # decision events are stamped at ``now``, when they are emitted
         start = now + self.control_latency
 
         new_flows = [fs for fs in task_state.flow_states if fs.active]
         if task_state.task.deadline <= start + EPS or not new_flows:
             self._reject(task_state, reason="deadline-expired", now=now)
             return
-        now = start
+
+        if not self.reallocate_inflight:
+            self._admit_incremental(task_state, new_flows, now, start)
+            return
 
         old_flows = [fs for fs in self._accepted_flows.values() if fs.active]
         victims: list[int] = []
-
-        if not self.reallocate_inflight:
-            self._admit_incremental(task_state, new_flows, now)
-            return
-
-        # fast path: one outage-only base ledger, reset between retries by
-        # the rollback journal instead of being rebuilt from scratch
-        trial_base = self._outage_ledger() if self.fast_path else None
-        spans = None if self.telemetry is None else self.telemetry.spans
+        # one outage-only ledger, reset between retries by the journal
+        ledger = self._outage_ledger()
         attempt = 0
         while True:
             attempt += 1
             with self._span("trial"):
-                ftmp = sorted(old_flows + new_flows, key=self._priority_key)
-                if self.trace is not None:
-                    self.trace.emit(TrialBegin(
-                        now, task_id=task_state.task.task_id, attempt=attempt,
-                        flows=self._trial_flows(ftmp),
-                    ))
-                if trial_base is not None:
-                    trial_ledger = trial_base
-                    trial_ledger.begin_trial()
-                else:
-                    trial_ledger = self._outage_ledger()
-                horizon = allocation_horizon(ftmp, self._capacity, now)
-                trial_plans = path_calculation(
-                    ftmp, trial_ledger, self.paths, self._capacity, now,
-                    horizon, on_unplannable="skip",
-                    profile=self.stats.profile, prune=self.fast_path,
-                    spans=spans,
+                trial_plans = self._trial(
+                    old_flows + new_flows, ledger, now, start, task_id, attempt
                 )
-                self.stats.reallocations += 1
-                self.stats.flows_planned += len(trial_plans)
 
                 # a new-task flow with no usable path at all (outage) → reject
-                if any(fs.flow.flow_id not in trial_plans for fs in new_flows):
-                    missing = tuple(
-                        (fs.flow.flow_id, fs.flow.task_id)
-                        for fs in new_flows
-                        if fs.flow.flow_id not in trial_plans
-                    )
+                missing = tuple(
+                    (fs.flow.flow_id, task_id)
+                    for fs in new_flows
+                    if fs.flow.flow_id not in trial_plans
+                )
+                if missing:
                     self._reject(task_state, reason="unreachable", now=now,
                                  missing=missing)
                     return
@@ -431,11 +399,8 @@ class TapsScheduler(Scheduler):
                     self._reject(task_state, reason="table-limit", now=now)
                     return
                 with self._span("commit"):
-                    if trial_base is not None:
-                        trial_ledger.commit_trial()
-                    self._commit(
-                        task_state, trial_plans, trial_ledger, victims, now
-                    )
+                    ledger.commit_trial()
+                    self._commit(task_state, trial_plans, ledger, victims, now)
                 return
 
             if decision.decision is Decision.REJECT_NEW:
@@ -453,7 +418,7 @@ class TapsScheduler(Scheduler):
                 missing = tuple(
                     (fid,
                      trial_plans[fid].flow_state.flow.task_id
-                     if fid in trial_plans else task_state.task.task_id)
+                     if fid in trial_plans else task_id)
                     for fid in decision.missing_flow_ids
                 )
                 self._reject(task_state, reason="would-miss",
@@ -469,7 +434,7 @@ class TapsScheduler(Scheduler):
             # committed plans were never touched and it survives intact.
             assert decision.victim_task_id is not None
             self._emit(TrialRollback(
-                now, task_id=task_state.task.task_id, attempt=attempt,
+                now, task_id=task_id, attempt=attempt,
                 victim_task_id=decision.victim_task_id,
                 victim_ratio=decision.victim_ratio,
                 new_ratio=decision.new_ratio,
@@ -480,17 +445,70 @@ class TapsScheduler(Scheduler):
                     fs for fs in old_flows
                     if fs.flow.task_id != decision.victim_task_id
                 ]
-                if trial_base is not None:
-                    trial_base.rollback_trial()
+                ledger.rollback_trial()
+
+    def _trial(
+        self,
+        flows: list[FlowState],
+        ledger: OccupancyLedger,
+        now: float,
+        start: float,
+        task_id: int | None = None,
+        attempt: int = 1,
+        frozen: list[FlowState] | None = None,
+    ) -> dict[int, FlowPlan]:
+        """One Alg. 1 trial: sort ``flows`` into ``Ftmp`` (line 9), open a
+        journal on ``ledger`` and path-calculate ``Ftmp`` onto it with no
+        slice before ``start``.
+
+        ``task_id`` is the task being admitted (``attempt`` counts its
+        retries); fault reallocation passes ``None`` and so emits no
+        trial-begin event and counts no planned flows.  ``frozen`` flows
+        keep their plans but still bound the horizon (incremental
+        admission).  The caller ends the journal with ``commit_trial`` or
+        ``rollback_trial``.
+        """
+        ftmp = sorted(flows, key=self._priority_key)
+        if task_id is not None and self.trace is not None:
+            self.trace.emit(TrialBegin(
+                now, task_id=task_id, attempt=attempt,
+                flows=self._trial_flows(ftmp),
+            ))
+        ledger.begin_trial()
+        horizon = allocation_horizon(
+            ftmp if frozen is None else ftmp + frozen, self._capacity, start
+        )
+        plans = self._allocate(ftmp, ledger, start, horizon)
+        self.stats.reallocations += 1
+        if task_id is not None:
+            self.stats.flows_planned += len(plans)
+        return plans
+
+    def _allocate(
+        self,
+        ftmp: list[FlowState],
+        ledger: OccupancyLedger,
+        start: float,
+        horizon: float,
+    ) -> dict[int, FlowPlan]:
+        """Alg. 2 over the sorted ``Ftmp`` — the allocation step of a trial,
+        and the seam a test substitutes a reference allocator through."""
+        return path_calculation(
+            ftmp, ledger, self.paths, self._capacity, start, horizon,
+            on_unplannable="skip", profile=self.stats.profile,
+            spans=None if self.telemetry is None else self.telemetry.spans,
+        )
 
     def _commit(
         self,
         task_state: TaskState,
-        trial_plans: dict[int, FlowPlan],
-        trial_ledger: OccupancyLedger,
+        plans: dict[int, FlowPlan],
+        ledger: OccupancyLedger,
         victims: list[int],
         now: float,
     ) -> None:
+        """Accept ``task_state``: install ``plans`` as the whole plan table
+        and ``ledger`` as the live ledger, preempting ``victims``."""
         # the preemption decided during the trial becomes real only now:
         # kill the victims' flows (their bytes become TAPS' only waste).
         # They keep accepted=True — they *were* admitted; the preemption
@@ -510,9 +528,9 @@ class TapsScheduler(Scheduler):
                 killed_flows=tuple(killed),
             ))
 
-        self._replace_plans(dict(trial_plans))
-        self.ledger = trial_ledger
-        for plan in trial_plans.values():
+        self._replace_plans(dict(plans))
+        self.ledger = ledger
+        for plan in plans.values():
             plan.flow_state.path = plan.path
         task_state.accepted = True
         for fs in task_state.flow_states:
@@ -534,51 +552,31 @@ class TapsScheduler(Scheduler):
             ))
 
     def _admit_incremental(
-        self, task_state: TaskState, new_flows: list[FlowState], now: float
+        self,
+        task_state: TaskState,
+        new_flows: list[FlowState],
+        now: float,
+        start: float,
     ) -> None:
         """Incremental admission: pack only the new flows around the
         frozen existing plans; accept iff they all meet their deadlines.
 
         No reordering, no preemption — deliberately rigid, for the
-        reallocation ablation.
+        reallocation ablation.  The trial runs on the live ledger, whose
+        down links are already blocked (every link-state change installs
+        a fresh outage ledger), and the journal undoes a rejected trial.
         """
-        assert self.paths is not None
-        ftmp = sorted(new_flows, key=self._priority_key)
-        if self.trace is not None:
-            self.trace.emit(TrialBegin(
-                now, task_id=task_state.task.task_id, attempt=1,
-                flows=self._trial_flows(ftmp),
-            ))
-        if self.fast_path:
-            # trial directly on the live ledger; the journal undoes a
-            # rejected trial instead of deep-copying every link upfront
-            trial_ledger = self.ledger
-            trial_ledger.begin_trial()
-        else:
-            trial_ledger = self.ledger.copy()
-        if self._down_links:
-            block = IntervalSet.single(0.0, _BLOCK_HORIZON)
-            for l in self._down_links:
-                trial_ledger.commit((l,), block)
-        horizon = allocation_horizon(
-            ftmp + [fs for fs in self._accepted_flows.values() if fs.active],
-            self._capacity,
-            now,
+        ledger = self.ledger
+        task_id = task_state.task.task_id
+        trial_plans = self._trial(
+            new_flows, ledger, now, start, task_id,
+            frozen=[fs for fs in self._accepted_flows.values() if fs.active],
         )
-        trial_plans = path_calculation(
-            ftmp, trial_ledger, self.paths, self._capacity, now, horizon,
-            on_unplannable="skip",
-            profile=self.stats.profile, prune=self.fast_path,
-            spans=None if self.telemetry is None else self.telemetry.spans,
-        )
-        self.stats.reallocations += 1
-        self.stats.flows_planned += len(trial_plans)
 
         reject_reason: str | None = None
         lateness: tuple = ()
         missing: tuple = ()
         clause: int | None = None
-        task_id = task_state.task.task_id
         if len(trial_plans) < len(new_flows):
             reject_reason = "unreachable"
             missing = tuple(
@@ -600,30 +598,14 @@ class TapsScheduler(Scheduler):
         elif not self._tables_fit({**self.plans, **trial_plans}):
             reject_reason = "table-limit"
         if reject_reason is not None:
-            if self.fast_path:
-                trial_ledger.rollback_trial()
+            ledger.rollback_trial()
             self._reject(task_state, reason=reject_reason,
                          lateness=lateness, now=now,
                          clause=clause, missing=missing)
             return
 
-        if self.fast_path:
-            trial_ledger.commit_trial()
-        else:
-            self.ledger = trial_ledger
-        self._replace_plans({**self.plans, **trial_plans})
-        for plan in trial_plans.values():
-            plan.flow_state.path = plan.path
-        task_state.accepted = True
-        for fs in task_state.flow_states:
-            if fs.active:
-                self._accepted_flows[fs.flow.flow_id] = fs
-        self.stats.tasks_accepted += 1
-        if self.trace is not None:
-            self.trace.emit(TaskAccept(
-                now, task_id=task_state.task.task_id, victims=(),
-                plans=self._plan_records(),
-            ))
+        ledger.commit_trial()
+        self._commit(task_state, {**self.plans, **trial_plans}, ledger, [], now)
 
     def _reject(
         self,
@@ -766,7 +748,7 @@ class TapsScheduler(Scheduler):
 
     def _outage_ledger(self) -> OccupancyLedger:
         """A fresh ledger with every down link blocked "forever"."""
-        ledger = self._new_ledger()
+        ledger = OccupancyLedger(profile=self.stats.profile)
         if self._down_links:
             block = IntervalSet.single(0.0, _BLOCK_HORIZON)
             for l in self._down_links:
@@ -782,32 +764,17 @@ class TapsScheduler(Scheduler):
 
     def _reallocate_inflight(self, now: float) -> None:
         flows = [fs for fs in self._accepted_flows.values() if fs.active]
-        trial_base = self._outage_ledger() if self.fast_path else None
-        spans = None if self.telemetry is None else self.telemetry.spans
+        ledger = self._outage_ledger()
         dropped: list[int] = []
         while True:
-            ftmp = sorted(flows, key=self._priority_key)
-            if trial_base is not None:
-                ledger = trial_base
-                ledger.begin_trial()
-            else:
-                ledger = self._outage_ledger()
-            horizon = allocation_horizon(ftmp, self._capacity, now)
-            plans = path_calculation(
-                ftmp, ledger, self.paths, self._capacity, now, horizon,
-                on_unplannable="skip",
-                profile=self.stats.profile, prune=self.fast_path,
-                spans=spans,
-            )
-            self.stats.reallocations += 1
+            plans = self._trial(flows, ledger, now, now)
             missing_tasks = {
                 p.flow_state.flow.task_id
                 for p in plans.values()
                 if not p.meets_deadline
             }
             if not missing_tasks:
-                if trial_base is not None:
-                    ledger.commit_trial()
+                ledger.commit_trial()
                 self._replace_plans(plans)
                 self.ledger = ledger
                 for p in plans.values():
@@ -827,8 +794,7 @@ class TapsScheduler(Scheduler):
                 if self._drop_task_on_fault(tid, now):
                     dropped.append(tid)
             flows = [fs for fs in flows if fs.flow.task_id not in missing_tasks]
-            if trial_base is not None:
-                trial_base.rollback_trial()
+            ledger.rollback_trial()
 
     def _drop_task_on_fault(
         self, task_id: int, now: float = 0.0, cause: str = "fault"

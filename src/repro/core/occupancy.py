@@ -1,29 +1,25 @@
 """Per-link occupancy ledger — the ``O_x`` sets of paper Table I.
 
 The ledger records, for every link, the union of transmission slices of all
-flows allocated onto it.  TAPS rebuilds the ledger from scratch on every
-task arrival (Alg. 1 re-path-calculates all of ``Ftmp``), so the ledger
-also knows how to reconstruct itself from a set of committed flow plans —
-that reconstruction is the rollback path of the reject rule.
+flows allocated onto it.  Alg. 2 reads it as per-path unions (``T_ocp``)
+and writes each winning flow's slices back with :meth:`commit`.
 
-Two fast-path mechanisms live here (both default-on, both exact):
+Two mechanisms keep Alg. 1's repeated trials cheap, both exact:
 
-**Per-path union cache.**  Alg. 2 evaluates every candidate path of every
-flow, and :meth:`OccupancyLedger.union_for` is its inner loop.  Within one
-``path_calculation`` run, committing a flow only dirties the links of its
-winning path — the unions of all disjoint candidate paths stay valid.  The
-ledger therefore memoises ``union_for`` per path and tracks dirtiness at
-link granularity: :meth:`commit` (and journal rollback) evict exactly the
-cached unions that include a changed link, via a link → cached-paths
-reverse index.  Cached entries store the union's boundary list; lookups
-return an independent copy, preserving ``union_for``'s value semantics.
+**Interior-segment cache.**  Alg. 2 scores every candidate path of every
+flow.  A candidate's union splits into the access/aggregation links shared
+by all candidates of the endpoint pair (folded once per flow) and an
+interior agg↔core segment, which only commits routed through it change.
+:meth:`_segment_fold` memoises interior segment folds across flows and
+tracks dirtiness at link granularity: :meth:`commit` (and journal rollback)
+evict exactly the cached segments that include a changed link, via a
+link → cached-segments reverse index.
 
-**Trial journal.**  Admission trials used to deep-copy the whole ledger
-(or rebuild it per retry).  :meth:`begin_trial` instead snapshots each
-link's boundary list lazily on first touch; :meth:`rollback_trial`
-restores exactly those links (and evicts their cached unions), and
-:meth:`commit_trial` simply drops the journal.  Undo cost is proportional
-to what the trial touched, not to the whole network.
+**Trial journal.**  :meth:`begin_trial` snapshots each link's boundary list
+lazily on first touch; :meth:`rollback_trial` restores exactly those links
+(and evicts their cached segments), and :meth:`commit_trial` simply drops
+the journal.  Undo cost is proportional to what the trial touched, not to
+the whole network.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.net.topology import Path
-from repro.util.intervals import IntervalSet, merge_boundaries, union_all
+from repro.util.intervals import IntervalSet, merge_boundaries
 
 
 class OccupancyLedger:
@@ -46,33 +42,21 @@ class OccupancyLedger:
     profile:
         Optional :class:`~repro.obs.hotpath.HotPathCounters`
         (duck-typed — any object with the counter attributes works).
-        Counts union-cache hits/misses and intervals scanned; ``None``
-        disables counting.
-    cache:
-        Enable the per-path union cache.  ``False`` restores the
-        always-recompute behaviour (the pre-fast-path reference mode used
-        by the perf benchmark and the equivalence tests).
+        Counts segment-cache hits/misses, intervals scanned and rolled-back
+        trials; ``None`` disables counting.
 
     Note: :meth:`occupied` returns the ledger's internal set for zero-copy
-    reads — callers must not mutate it, or cached unions go stale.
+    reads — callers must not mutate it, or cached segments go stale.
     """
 
-    __slots__ = ("_occ", "_cache_enabled", "_unions", "_paths_by_link",
-                 "_seen", "_profile", "_journal")
+    __slots__ = ("_occ", "_unions", "_paths_by_link", "_profile", "_journal")
 
-    def __init__(self, profile=None, cache: bool = True) -> None:
+    def __init__(self, profile=None) -> None:
         self._occ: dict[int, IntervalSet] = {}
-        self._cache_enabled = cache
-        #: path → boundary list of its cached union
+        #: link segment → boundary list of its cached fold
         self._unions: dict[Path, list[float]] = {}
-        #: link → cached paths that include it (eviction reverse index)
+        #: link → cached segments that include it (eviction reverse index)
         self._paths_by_link: dict[int, set[Path]] = {}
-        #: second-chance admission filter: paths requested at least once.
-        #: A union is only stored on its *second* miss — most candidate
-        #: paths are queried exactly once between evictions, and storing
-        #: them (boundary copy + reverse-index upkeep) would cost more
-        #: than the cache ever gives back.
-        self._seen: set[Path] = set()
         self._profile = profile
         #: link → pre-trial boundary list (None = link did not exist)
         self._journal: dict[int, list[float] | None] | None = None
@@ -82,131 +66,26 @@ class OccupancyLedger:
         got = self._occ.get(link_index)
         return got if got is not None else IntervalSet()
 
-    def union_for(
-        self, path: Path, memo: dict[Path, list[float]] | None = None
-    ) -> IntervalSet:
+    def union_for(self, path: Path) -> IntervalSet:
         """``T_ocp`` — union of occupied sets along a path (Alg. 3 lines 1–4).
 
-        Served from the per-path cache when every link of ``path`` is
-        clean since the union was last computed; always returns a copy the
-        caller may freely mutate.
-
-        ``memo`` (link-tuple → partial-union boundary list) shares partial
-        folds across the candidate paths of one flow: candidates of an
-        endpoint pair all run through the same access links and often the
-        same aggregation links, and the ledger does not change between
-        candidate evaluations.  The union is association-free (see
-        :func:`~repro.util.intervals.union_all`), so folding the shared
-        links first yields bit-identical boundary lists.  Callers own the
-        memo's lifetime and must drop it on any ledger mutation.
-        """
-        profile = self._profile
-        occ = self._occ
-        if not self._cache_enabled:
-            # reference mode: the pre-fast-path pairwise fold, recomputed
-            # on every call
-            sets = []
-            scanned = 0
-            for l in path:
-                s = occ.get(l)
-                if s is not None:
-                    sets.append(s)
-                    scanned += len(s._b)
-            if profile is not None:
-                profile.union_cache_misses += 1
-                profile.intervals_scanned += scanned >> 1
-            return union_all(sets)
-        cached = self._unions.get(path)
-        if cached is not None:
-            if profile is not None:
-                profile.union_cache_hits += 1
-            return IntervalSet._from_boundaries(list(cached))
-        if profile is not None:
-            profile.union_cache_misses += 1
-            scanned = 0
-            for l in path:
-                s = occ.get(l)
-                if s is not None:
-                    scanned += len(s._b)
-            profile.intervals_scanned += scanned >> 1
-        if memo is not None and len(path) >= 3:
-            out = self._shared_fold(path, memo)
-        else:
-            out = []
-            for l in path:
-                s = occ.get(l)
-                if s is not None and s._b:
-                    out = merge_boundaries(out, s._b) if out else list(s._b)
-        seen = self._seen
-        if path in seen:
-            self._unions[path] = out
-            by_link = self._paths_by_link
-            for l in path:
-                bucket = by_link.get(l)
-                if bucket is None:
-                    by_link[l] = {path}
-                else:
-                    bucket.add(path)
-            out = list(out)
-        else:
-            seen.add(path)
-        return IntervalSet._from_boundaries(out)
-
-    def _shared_fold(self, path: Path, memo: dict[Path, list[float]]) -> list[float]:
-        """Fold a path's link occupancies, memoising shared partials.
-
-        Level 1 folds the access links ``(path[0], path[-1])`` — common to
-        every candidate of the endpoint pair.  Level 2 (paths of ≥ 5
-        links) adds ``(path[1], path[-2])``, shared by candidates routed
-        through the same aggregation pair.  The remaining interior links
-        are folded on top per candidate.  Always returns a list the caller
-        may keep (copied when it is a memoised partial itself).
+        A plain fold of the path's links, recomputed on every call (it
+        counts as a cache miss); returns a set the caller may freely
+        mutate.
         """
         occ = self._occ
-        k1 = (path[0], path[-1])
-        acc = memo.get(k1)
-        if acc is None:
-            acc = []
-            for l in k1:
-                s = occ.get(l)
-                if s is not None and s._b:
-                    acc = merge_boundaries(acc, s._b) if acc else list(s._b)
-            memo[k1] = acc
-        shared = acc
-        if len(path) >= 5:
-            k2 = (path[0], path[-1], path[1], path[-2])
-            acc2 = memo.get(k2)
-            if acc2 is None:
-                acc2 = acc
-                for l in (path[1], path[-2]):
-                    s = occ.get(l)
-                    if s is not None and s._b:
-                        acc2 = merge_boundaries(acc2, s._b) if acc2 else list(s._b)
-                if acc2 is acc:
-                    acc2 = list(acc)
-                memo[k2] = acc2
-            shared = acc2
-            interior = path[2:-2]
-        else:
-            interior = path[1:-1]
-        if len(interior) >= 2:
-            # Interior (agg↔core) segments are only dirtied by commits
-            # that actually route through them — unlike access links,
-            # which every commit of the endpoint host touches — so their
-            # folds survive across flows and live in the ledger-level
-            # cache (same eviction index as full-path unions).
-            inter_b = self._segment_fold(interior)
-            if not inter_b:
-                return list(shared)
-            return merge_boundaries(shared, inter_b) if shared else list(inter_b)
-        out = shared
-        for l in interior:
+        out: list[float] = []
+        scanned = 0
+        for l in path:
             s = occ.get(l)
             if s is not None and s._b:
+                scanned += len(s._b)
                 out = merge_boundaries(out, s._b) if out else list(s._b)
-        if out is shared:
-            out = list(shared)
-        return out
+        profile = self._profile
+        if profile is not None:
+            profile.union_cache_misses += 1
+            profile.intervals_scanned += scanned >> 1
+        return IntervalSet._from_boundaries(out)
 
     def union_parts(
         self, path: Path, memo: dict[Path, list[float]]
@@ -260,19 +139,17 @@ class OccupancyLedger:
     def _segment_fold(self, seg: Path) -> list[float]:
         """Cached fold of a link segment's occupancies.
 
-        Keyed in the same ``_unions`` store as full paths (a segment *is*
-        a link tuple, and its union value is the same either way), with
-        the same second-chance admission and link-level eviction.  The
-        returned list may be the cached entry itself — callers use it as
-        merge input only and must not mutate it.
+        Stored on the first miss (interior segments are re-queried many
+        times between evictions) and evicted per link.  The returned list
+        may be the cached entry itself — callers use it as merge input only
+        and must not mutate it.
         """
         profile = self._profile
-        if self._cache_enabled:
-            cached = self._unions.get(seg)
-            if cached is not None:
-                if profile is not None:
-                    profile.union_cache_hits += 1
-                return cached
+        cached = self._unions.get(seg)
+        if cached is not None:
+            if profile is not None:
+                profile.union_cache_hits += 1
+            return cached
         if profile is not None:
             profile.union_cache_misses += 1
         occ = self._occ
@@ -281,14 +158,6 @@ class OccupancyLedger:
             s = occ.get(l)
             if s is not None and s._b:
                 acc = merge_boundaries(acc, s._b) if acc else list(s._b)
-        if not self._cache_enabled:
-            # commit() only evicts when caching is on; storing here would
-            # go stale (pruning may run against an uncached ledger)
-            return acc
-        # no second-chance gate here: unlike full paths (whose access
-        # links are dirtied by every commit of the endpoint host),
-        # interior segments are re-queried many times between evictions,
-        # so storing on the first miss always pays
         self._unions[seg] = acc
         by_link = self._paths_by_link
         for l in seg:
@@ -315,13 +184,12 @@ class OccupancyLedger:
                 occ[l] = slices.copy()
             else:
                 # rebind, never mutate in place: the trial journal and the
-                # union cache both rely on old boundary lists surviving
+                # segment cache both rely on old boundary lists surviving
                 existing._b = merge_boundaries(existing._b, slices._b)
-        if self._cache_enabled:
-            self._evict(path)
+        self._evict(path)
 
     def _evict(self, links: Iterable[int]) -> None:
-        """Drop every cached union that includes one of ``links``."""
+        """Drop every cached segment that includes one of ``links``."""
         unions = self._unions
         by_link = self._paths_by_link
         for l in links:
@@ -364,8 +232,7 @@ class OccupancyLedger:
                 occ.pop(l, None)
             else:
                 occ[l] = IntervalSet._from_boundaries(prev)
-        if self._cache_enabled and journal:
-            self._evict(journal.keys())
+        self._evict(journal.keys())
         if self._profile is not None:
             self._profile.trials_rolled_back += 1
 
@@ -375,22 +242,11 @@ class OccupancyLedger:
         self._occ.clear()
         self._unions.clear()
         self._paths_by_link.clear()
-        self._seen.clear()
         self._journal = None
 
-    def copy(self) -> "OccupancyLedger":
-        """Deep copy (used by reference-mode incremental admission trials)."""
-        out = OccupancyLedger(profile=self._profile, cache=self._cache_enabled)
-        out._occ = {l: s.copy() for l, s in self._occ.items()}
-        return out
-
     def rebuild(self, plans: Iterable[tuple[Path, IntervalSet]]) -> None:
-        """Reset to exactly the union of the given committed plans.
-
-        Used both for the per-arrival fresh ledger (rebuild from surviving
-        flows) and for reject-rule rollback (rebuild from the pre-trial
-        plans, which restores the previous allocation verbatim).
-        """
+        """Reset to exactly the union of the given ``(path, slices)``
+        plans, aborting any active trial."""
         self.clear()
         for path, slices in plans:
             self.commit(path, slices)
@@ -402,7 +258,7 @@ class OccupancyLedger:
         return sorted(l for l, s in self._occ.items() if s)
 
     def cache_info(self) -> dict[str, int]:
-        """Diagnostics: cached unions and reverse-index size."""
+        """Diagnostics: cached segments and reverse-index size."""
         return {
             "entries": len(self._unions),
             "indexed_links": len(self._paths_by_link),

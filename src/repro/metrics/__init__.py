@@ -9,20 +9,15 @@
   missed / total task size (Fig. 8's definition);
 * **effective application throughput over time** — the Fig. 14 trace.
 
-Plus controller-internal instrumentation: :mod:`repro.metrics.profiling`
-counts the allocation hot path's work (union-cache hits, intervals
-scanned, candidates pruned, time in path calculation), and
-:mod:`repro.metrics.tracestats` digests a decision trace
+Plus :mod:`repro.metrics.tracestats`, which digests a decision trace
 (:mod:`repro.trace`) into headline admission/preemption/slice counts.
 """
 
-from repro.metrics.profiling import ProfileCounters
 from repro.metrics.summary import RunMetrics, summarize
 from repro.metrics.timeseries import ThroughputTimeSeries
 from repro.metrics.tracestats import TraceDigest, trace_digest
 
 __all__ = [
-    "ProfileCounters",
     "RunMetrics",
     "summarize",
     "ThroughputTimeSeries",

@@ -4,7 +4,7 @@ The controller's single hottest loop is :func:`~repro.core.allocation.
 path_calculation`: on every task arrival it re-plans all in-flight flows,
 and for each flow it evaluates every candidate path against the per-link
 occupancy sets.  :class:`HotPathCounters` instruments that loop — how
-often the :class:`~repro.core.occupancy.OccupancyLedger` union cache
+often the :class:`~repro.core.occupancy.OccupancyLedger` segment cache
 hits, how many occupancy intervals the union merges scan, how many
 candidate paths the lower-bound prune skips, and how much wall time path
 calculation costs — so benchmarks report *work done*, not just elapsed
@@ -26,9 +26,6 @@ Snapshots are mergeable (:meth:`merge` / :meth:`from_dict`): the
 parallel sweep executor ships each worker's counters back with its
 result, so hot-path work done in child processes aggregates instead of
 silently vanishing (it used to).
-
-``repro.metrics.profiling.ProfileCounters`` remains as a compatibility
-alias of this class.
 """
 
 from __future__ import annotations
@@ -43,13 +40,11 @@ class HotPathCounters:
     Attributes
     ----------
     union_cache_hits, union_cache_misses:
-        ``OccupancyLedger.union_for`` calls served from / missing the
-        per-path union cache.  On a cache-disabled ledger every call
-        counts as a miss (the recompute path), so hit rates compare
-        cleanly across modes.
+        Interior-segment folds served from / missing the ledger's segment
+        cache; every ``OccupancyLedger.union_for`` call (a plain fold,
+        used for single-candidate flows) counts as a miss.
     intervals_scanned:
-        Occupancy intervals fed into union recomputation — the merge work
-        the cache avoids repeating.
+        Occupancy intervals fed into ``union_for`` folds.
     candidates_evaluated:
         Candidate paths considered by Alg. 2's multi-path comparison
         (single-candidate flows skip the comparison and are not counted).
@@ -81,7 +76,7 @@ class HotPathCounters:
 
     @property
     def union_cache_hit_rate(self) -> float:
-        """Fraction of ``union_for`` calls served from the cache."""
+        """Fraction of union lookups served from the segment cache."""
         total = self.union_cache_hits + self.union_cache_misses
         return self.union_cache_hits / total if total else 0.0
 

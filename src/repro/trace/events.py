@@ -17,9 +17,9 @@ into a :class:`~repro.trace.recorder.TraceRecorder`:
 
 Events are plain slotted dataclasses with JSON round-trip
 (:meth:`TraceEvent.to_json` / :func:`event_from_json`), so a trace can be
-exported as JSONL, diffed byte-for-byte between runs (the fast-path
-equivalence tests rely on this — nothing mode-dependent may appear in an
-event), and replayed offline by the auditor
+exported as JSONL, diffed byte-for-byte between runs (the allocator
+equivalence tests rely on this — nothing implementation-dependent may
+appear in an event), and replayed offline by the auditor
 (:mod:`repro.trace.audit`).
 
 Design rule: events record *decisions and physical facts*, never

@@ -651,7 +651,7 @@ def union_all(sets: Iterable[IntervalSet]) -> IntervalSet:
     The union is association-free — any fold order yields the identical
     boundary list, because the EPS-glue groups are determined by the
     multiset of input intervals alone — which is what lets the occupancy
-    ledger's fast path share partial folds across candidate paths without
+    ledger share partial folds across candidate paths without
     changing a single float.
     """
     acc: list[float] = []

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.allocation import (
     allocation_horizon,
-    completion_on_path,
     path_calculation,
     time_allocation,
 )
@@ -60,12 +59,6 @@ class TestTimeAllocation:
         slices, end = time_allocation(ledger, (0,), 5e-10, release=2.0, horizon=100.0)
         assert not slices
         assert end == 2.0
-
-    def test_completion_on_path_matches(self):
-        ledger = OccupancyLedger()
-        ledger.commit((0,), IntervalSet.single(0.5, 2.5))
-        _, end = time_allocation(ledger, (0,), 3.0, release=0.0, horizon=100.0)
-        assert completion_on_path(ledger, (0,), 3.0, 0.0, 100.0) == pytest.approx(end)
 
 
 class TestPathCalculation:

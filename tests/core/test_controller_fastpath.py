@@ -1,11 +1,12 @@
-"""Controller fast path: mode equivalence, invariants, stats regressions.
+"""Controller: reference equivalence, invariants, stats regressions.
 
-``fast_path=True`` (union caching + pruning + trial journal) must be
-indistinguishable from the reference controller in every scheduling
-decision — these tests check that at controller scale on a real multipath
-topology, plus the invariants and counter regressions the fast-path PR
-fixed (stats underflow on unregistered-task expiry, infinite-lateness
-reporting for planless flows).
+The production allocator (segment cache + pruned pair scan + trial
+journal) must be indistinguishable from the reference allocator of
+:mod:`tests.reference_taps` in every scheduling decision — these tests
+check that at controller scale on a real multipath topology, plus the
+invariants and counter regressions fixed alongside the allocator (stats
+underflow on unregistered-task expiry, infinite-lateness reporting for
+planless flows).
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.trace import TraceRecorder, audit_trace
 from repro.workload.flow import Flow, make_task
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.traces import dumbbell
+from tests.reference_taps import ReferenceTaps, reference_path_calculation
 
 
 def _contended_workload():
@@ -36,15 +38,15 @@ def _contended_workload():
 
 class TestModeEquivalence:
     def test_fast_and_reference_schedule_identically(self):
-        """Both modes must produce byte-identical decision traces (events
+        """Both allocators must produce byte-identical decision traces (events
         record float-exact plan snapshots, so this is the strongest form of
         equivalence), identical end states, and a clean audit."""
         topo, tasks = _contended_workload()
         runs = {}
         dumps = {}
-        for fast in (True, False):
+        for fast, cls in ((True, TapsScheduler), (False, ReferenceTaps)):
             recorder = TraceRecorder()
-            sched = TapsScheduler(fast_path=fast)
+            sched = cls()
             result = Engine(topo, tasks, sched,
                             path_service=PathService(topo, max_paths=4),
                             trace=recorder).run()
@@ -66,8 +68,8 @@ class TestModeEquivalence:
         assert {"task-accept", "task-reject"} <= kinds
 
     def test_pruned_path_calculation_matches_reference(self):
-        """prune=True picks the same path, slices, and completion as the
-        exhaustive per-candidate evaluation, flow for flow."""
+        """The pruned pair scan picks the same path, slices, and completion
+        as the exhaustive per-candidate evaluation, flow for flow."""
         topo = FatTree(k=4)
         paths = PathService(topo, max_paths=4)
         hosts = list(topo.hosts)[:4]
@@ -86,10 +88,10 @@ class TestModeEquivalence:
             return out
 
         capacity = topo.uniform_capacity()
-        fast = path_calculation(flows(), OccupancyLedger(cache=True), paths,
-                                capacity, 0.0, 1e4, prune=True)
-        ref = path_calculation(flows(), OccupancyLedger(cache=False), paths,
-                               capacity, 0.0, 1e4, prune=False)
+        fast = path_calculation(flows(), OccupancyLedger(), paths,
+                                capacity, 0.0, 1e4)
+        ref = reference_path_calculation(flows(), OccupancyLedger(), paths,
+                                         capacity, 0.0, 1e4)
         assert fast.keys() == ref.keys()
         for fid in fast:
             assert fast[fid].path == ref[fid].path

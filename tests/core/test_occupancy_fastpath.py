@@ -1,12 +1,12 @@
-"""OccupancyLedger fast path: union cache, partial folds, trial journal.
+"""OccupancyLedger: segment cache, partial folds, trial journal.
 
 The cache and the journal are pure performance machinery — every observable
 value must be identical to an uncached, copy-based ledger.  The property
-test drives a cached ledger through arbitrary commit/query/trial/rebuild/
-clear sequences against a hand-rolled model (dict of link → IntervalSet with
-deep-copy trial snapshots) and checks ``union_for`` float-for-float after
-every step; the unit tests pin the journal's edge semantics and the cache's
-admission/eviction behaviour.
+test drives the ledger through arbitrary commit/query/trial/rebuild/clear
+sequences against a hand-rolled model (dict of link → IntervalSet with
+deep-copy trial snapshots) and checks ``union_for`` and the recombined
+``union_parts`` float-for-float after every step; the unit tests pin the
+journal's edge semantics and the segment cache's hit counting and eviction.
 """
 
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.occupancy import OccupancyLedger
-from repro.metrics.profiling import ProfileCounters
+from repro.obs.hotpath import HotPathCounters
 from repro.util.intervals import IntervalSet, merge_boundaries, union_all
 
 LINKS = list(range(6))
@@ -42,12 +42,16 @@ def _model_union(model, path):
     return union_all([model[l] for l in path if l in model])
 
 
+def _parts_union(ledger, path):
+    return merge_boundaries(*ledger.union_parts(path, {}))
+
+
 @given(ops, st.lists(paths, min_size=1, max_size=4))
 @settings(max_examples=150)
 def test_cached_ledger_matches_model(sequence, probes):
-    """Arbitrary commit/query/trial/rebuild/clear sequences: the cached
-    ledger's unions equal a snapshot-copy reference model at every step."""
-    ledger = OccupancyLedger(cache=True)
+    """Arbitrary commit/query/trial/rebuild/clear sequences: the ledger's
+    unions equal a snapshot-copy reference model at every step."""
+    ledger = OccupancyLedger()
     model: dict[int, IntervalSet] = {}
     snapshot: dict[int, IntervalSet] | None = None
     committed: list[tuple[tuple[int, ...], IntervalSet]] = []
@@ -69,6 +73,7 @@ def test_cached_ledger_matches_model(sequence, probes):
         elif kind == "query":
             _, path = op
             assert ledger.union_for(path)._b == _model_union(model, path)._b
+            assert _parts_union(ledger, path) == _model_union(model, path)._b
         elif kind == "begin":
             if not ledger.in_trial:
                 ledger.begin_trial()
@@ -101,9 +106,11 @@ def test_cached_ledger_matches_model(sequence, probes):
                         model[l] = slices.copy()
 
     for path in probes:
-        # repeat the probe so the second-chance cache serves one from store
         assert ledger.union_for(path)._b == _model_union(model, path)._b
         assert ledger.union_for(path)._b == _model_union(model, path)._b
+        # repeat the probe so the segment cache serves one from store
+        assert _parts_union(ledger, path) == _model_union(model, path)._b
+        assert _parts_union(ledger, path) == _model_union(model, path)._b
 
 
 @given(ops, paths)
@@ -111,7 +118,7 @@ def test_cached_ledger_matches_model(sequence, probes):
 def test_union_parts_recombines_to_union_for(sequence, path):
     """merge(shared, interior) from union_parts equals union_for, for any
     ledger state and any path length."""
-    ledger = OccupancyLedger(cache=True)
+    ledger = OccupancyLedger()
     for op in sequence:
         if op[0] == "commit":
             _, p, start, width = op
@@ -161,18 +168,17 @@ def test_commit_trial_keeps_changes():
 
 
 def test_rollback_evicts_stale_cached_unions():
-    ledger = OccupancyLedger(cache=True)
-    ledger.commit((0, 1), IntervalSet.single(0, 2))
-    # two queries: the second-chance filter stores on the second miss
-    ledger.union_for((0, 1))
-    ledger.union_for((0, 1))
+    ledger = OccupancyLedger()
+    path = (0, 1, 2, 3)  # interior segment (1, 2)
+    ledger.commit((1, 2), IntervalSet.single(0, 2))
+    ledger.union_parts(path, {})
     assert ledger.cache_info()["entries"] == 1
     ledger.begin_trial()
-    ledger.commit((1,), IntervalSet.single(5, 6))
-    assert ledger.union_for((0, 1)).intervals() == [(0, 2), (5, 6)]
+    ledger.commit((2,), IntervalSet.single(5, 6))
+    assert ledger.union_parts(path, {})[1] == [0.0, 2.0, 5.0, 6.0]
     ledger.rollback_trial()
-    # the union cached during the trial must not survive the rollback
-    assert ledger.union_for((0, 1)).intervals() == [(0, 2)]
+    # the segment cached during the trial must not survive the rollback
+    assert ledger.union_parts(path, {})[1] == [0.0, 2.0]
 
 
 def test_clear_aborts_active_trial():
@@ -184,7 +190,7 @@ def test_clear_aborts_active_trial():
 
 
 def test_rollback_counts_in_profile():
-    profile = ProfileCounters()
+    profile = HotPathCounters()
     ledger = OccupancyLedger(profile=profile)
     ledger.begin_trial()
     ledger.commit((0,), IntervalSet.single(0, 1))
@@ -192,51 +198,42 @@ def test_rollback_counts_in_profile():
     assert profile.trials_rolled_back == 1
 
 
-# -- cache admission and eviction -----------------------------------------
-
-
-def test_second_chance_stores_full_path_on_second_miss():
-    ledger = OccupancyLedger(cache=True)
-    ledger.commit((0,), IntervalSet.single(0, 1))
-    ledger.union_for((0, 1))
-    assert ledger.cache_info()["entries"] == 0  # first miss: seen only
-    ledger.union_for((0, 1))
-    assert ledger.cache_info()["entries"] == 1  # second miss: stored
+# -- segment cache hits and eviction ---------------------------------------
 
 
 def test_cache_hit_counted_and_value_correct():
-    profile = ProfileCounters()
-    ledger = OccupancyLedger(profile=profile, cache=True)
-    ledger.commit((0,), IntervalSet.single(0, 1))
-    ledger.union_for((0,))
-    ledger.union_for((0,))
+    profile = HotPathCounters()
+    ledger = OccupancyLedger(profile=profile)
+    path = (0, 1, 2, 3)
+    ledger.commit((1,), IntervalSet.single(0, 1))
+    ledger.union_parts(path, {})  # miss: folded and stored
     hits_before = profile.union_cache_hits
-    got = ledger.union_for((0,))
+    _, got = ledger.union_parts(path, {})
     assert profile.union_cache_hits == hits_before + 1
-    assert got.intervals() == [(0, 1)]
+    assert got == [0.0, 1.0]
 
 
 def test_commit_evicts_only_touched_paths():
-    ledger = OccupancyLedger(cache=True)
-    ledger.commit((0,), IntervalSet.single(0, 1))
+    ledger = OccupancyLedger()
+    a, b = (0, 1, 2, 3), (4, 5, 6, 7)  # interior segments (1, 2) and (5, 6)
+    ledger.commit((1,), IntervalSet.single(0, 1))
     ledger.commit((5,), IntervalSet.single(0, 1))
-    for _ in range(2):
-        ledger.union_for((0, 1))
-        ledger.union_for((5,))
+    ledger.union_parts(a, {})
+    ledger.union_parts(b, {})
     assert ledger.cache_info()["entries"] == 2
-    ledger.commit((0,), IntervalSet.single(3, 4))  # dirties only path (0, 1)
+    ledger.commit((2,), IntervalSet.single(3, 4))  # dirties only segment (1, 2)
     assert ledger.cache_info()["entries"] == 1
-    assert ledger.union_for((0, 1)).intervals() == [(0, 1), (3, 4)]
-    assert ledger.union_for((5,)).intervals() == [(0, 1)]
+    assert ledger.union_parts(a, {})[1] == [0.0, 1.0, 3.0, 4.0]
+    assert ledger.union_parts(b, {})[1] == [0.0, 1.0]
 
 
 def test_interior_segment_cached_on_first_query():
     """union_parts on a 6-link path caches the (agg↔core) interior segment
-    immediately — no second-chance gate for segments."""
-    ledger = OccupancyLedger(cache=True)
+    on its first query."""
+    ledger = OccupancyLedger()
     path = (0, 1, 2, 3, 4, 5)
     ledger.commit((2,), IntervalSet.single(0, 1))
-    profile = ProfileCounters()
+    profile = HotPathCounters()
     ledger._profile = profile
     shared, inter = ledger.union_parts(path, {})
     assert inter == [0.0, 1.0]
@@ -244,19 +241,3 @@ def test_interior_segment_cached_on_first_query():
     _, again = ledger.union_parts(path, {})
     assert again == [0.0, 1.0]
     assert profile.union_cache_hits >= 1
-
-
-def test_cache_disabled_ledger_stores_nothing():
-    """Reference mode must never populate the store — commit() only evicts
-    when caching is on, so anything stored would go stale."""
-    ledger = OccupancyLedger(cache=False)
-    ledger.commit((0, 1, 2, 3, 4, 5), IntervalSet.single(0, 2))
-    ledger.union_for((0, 1, 2, 3, 4, 5))
-    ledger.union_for((0, 1, 2, 3, 4, 5))
-    ledger.union_parts((0, 1, 2, 3, 4, 5), {})
-    assert ledger.cache_info() == {"entries": 0, "indexed_links": 0}
-    # and staying uncached keeps it correct across further commits
-    ledger.commit((2,), IntervalSet.single(5, 6))
-    assert ledger.union_for((0, 1, 2, 3, 4, 5)).intervals() == [(0, 2), (5, 6)]
-    shared, inter = ledger.union_parts((0, 1, 2, 3, 4, 5), {})
-    assert merge_boundaries(shared, inter) == [0.0, 2.0, 5.0, 6.0]

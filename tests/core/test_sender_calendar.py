@@ -69,7 +69,7 @@ TOPO = FatTree(k=4)
 def cases(draw):
     hosts = list(TOPO.hosts)[: draw(st.integers(4, 16))]
     config = WorkloadConfig(
-        num_tasks=draw(st.integers(2, 10)),
+        num_tasks=draw(st.integers(2, 16)),
         arrival_rate=draw(st.sampled_from([300.0, 1000.0, 3000.0])),
         mean_deadline=draw(st.sampled_from([0.008, 0.015, 0.03])),
         mean_flow_size=300_000.0,

@@ -2,7 +2,8 @@
 
 Two guarantees are load-bearing.  First, telemetry is observational
 only: the decision trace must stay byte-identical whether telemetry is
-attached or not, and across fast_path modes with it attached.  Second,
+attached or not, and between the production and reference allocators
+with it attached.  Second,
 published counters are the *same numbers* the engine/controller already
 track, and process-pool workers' snapshots merge into exactly what a
 serial run records — so ``repro-taps stats`` never disagrees with the
@@ -13,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import fields
 
+import repro.core.controller as controller
 from repro.exp.executor import ExecutorConfig, SimJob, execute_jobs, topology_spec
 from repro.exp.runner import run_traced
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.sim.engine import EngineCounters
 from repro.workload.generator import WorkloadConfig
+from tests.reference_taps import ReferenceTaps
 
 DUMBBELL = topology_spec("dumbbell", n_pairs=6, capacity=1.0)
 
@@ -31,16 +34,20 @@ def _workload(**overrides) -> WorkloadConfig:
     return WorkloadConfig(**base)
 
 
-def test_trace_bytes_unchanged_by_telemetry_and_fast_path():
+def test_trace_bytes_unchanged_by_telemetry_and_fast_path(monkeypatch):
     """The acceptance criterion: telemetry never feeds a decision.
 
-    Traces from (fast_path + telemetry), (slow path + telemetry), and
-    (fast_path, no telemetry) are all byte-identical.
+    Traces from (production allocator + telemetry), (reference allocator
+    + telemetry), and (production allocator, no telemetry) are all
+    byte-identical.
     """
     _, plain = run_traced(num_tasks=20, seed=11)
     _, fast = run_traced(num_tasks=20, seed=11, telemetry=MetricsRegistry())
-    _, slow = run_traced(num_tasks=20, seed=11, fast_path=False,
-                         telemetry=MetricsRegistry())
+    # run_traced builds whatever class the controller module exports; with
+    # the production allocator gone, the reference must make every plan
+    monkeypatch.setattr(controller, "TapsScheduler", ReferenceTaps)
+    monkeypatch.setattr(controller, "path_calculation", None)
+    _, slow = run_traced(num_tasks=20, seed=11, telemetry=MetricsRegistry())
     assert fast.dumps() == plain.dumps()
     assert slow.dumps() == plain.dumps()
 
